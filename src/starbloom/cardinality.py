@@ -209,10 +209,6 @@ def card_join_with_selection(branch: Plan, star: StarPattern, fragment: str,
     return card
 
 
-def card_plan_branch(branch: Plan, ctx: PlanContext) -> float:
-    return _card_plan(branch, ctx, ctx.distinct)
-
-
 def card_plan(plan: Plan, ctx: PlanContext, distinct: Optional[bool] = None) -> float:
     """Estimated cardinality of a whole execution plan."""
     return _card_plan(plan, ctx, ctx.distinct if distinct is None else distinct)

@@ -74,7 +74,13 @@ class Fragment:
         )
 
     def graph(self) -> KnowledgeGraph:
-        return KnowledgeGraph(self.triples)
+        """The fragment's triples as a graph, built on the first call and then
+        reused (the fragment is immutable)."""
+        graph = self.__dict__.get("_graph")
+        if graph is None:
+            graph = KnowledgeGraph(self.triples)
+            object.__setattr__(self, "_graph", graph)
+        return graph
 
     def sort_key(self) -> tuple[str, str]:
         return (self.cs.canonical(), self.id)

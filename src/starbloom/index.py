@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .bloom import BloomParams, SPBF, spbf_from_bytes, spbf_to_bytes
+from .bloom import BloomParams, SPBF, _Reader, spbf_from_bytes, spbf_to_bytes
 from .model import StarPattern, Term
 
 
@@ -111,25 +111,15 @@ def slice_to_bytes(s: SPBFSlice) -> bytes:
 
 
 def slice_from_bytes(data: bytes, expected_params: Optional[BloomParams] = None) -> SPBFSlice:
-    if data[:4] != _SLICE_MAGIC:
+    """Decode one slice; malformed or truncated input raises ``ValueError``."""
+    r = _Reader(data)
+    if r.take(4) != _SLICE_MAGIC:
         raise ValueError("not an index slice stream (bad magic)")
-    pos = 4
-    (fid_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    fid = data[pos:pos + fid_len].decode("utf-8")
-    pos += fid_len
-    (n_holders,) = struct.unpack_from("<H", data, pos)
-    pos += 2
-    holders: list[str] = []
-    for _ in range(n_holders):
-        (hlen,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        holders.append(data[pos:pos + hlen].decode("utf-8"))
-        pos += hlen
-    (body_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    spbf = spbf_from_bytes(data[pos:pos + body_len], expected_params)
-    return SPBFSlice(fid, spbf, tuple(holders))
+    fid = r.string()
+    n_holders = r.u16()
+    holders = tuple(r.take(r.u16()).decode("utf-8") for _ in range(n_holders))
+    spbf = spbf_from_bytes(r.take(r.u32()), expected_params)
+    return SPBFSlice(fid, spbf, holders)
 
 
 def write_slices(slices: Iterable[SPBFSlice], outdir: Path) -> Path:

@@ -92,6 +92,11 @@ def escape_literal(value: str) -> str:
     return "".join(_ESCAPES.get(c, c) for c in value)
 
 
+# The one-character escapes (ECHAR) that N-Triples and SPARQL literals share.
+LITERAL_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f",
+                     '"': '"', "'": "'", "\\": "\\"}
+
+
 @dataclass(frozen=True, slots=True)
 class Variable:
     name: str  # without the leading '?'
@@ -126,9 +131,13 @@ class Triple:
 
 
 class KnowledgeGraph:
-    """An immutable set of triples with a subject index."""
+    """An immutable set of triples with a subject index.
 
-    __slots__ = ("triples", "_by_subject")
+    Two further indexes are built on first use: the subjects in ``Term.nt()``
+    order, and a (predicate, object) -> subjects index in that same order.
+    """
+
+    __slots__ = ("triples", "_by_subject", "_subject_order", "_by_pred_obj")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self.triples: frozenset[Triple] = frozenset(triples)
@@ -136,6 +145,8 @@ class KnowledgeGraph:
         for t in self.triples:
             by_subject.setdefault(t.s, []).append(t)
         self._by_subject = {s: tuple(sorted(ts, key=Triple.sort_key)) for s, ts in by_subject.items()}
+        self._subject_order: Optional[tuple[Term, ...]] = None
+        self._by_pred_obj: Optional[dict[tuple[Term, Term], tuple[Term, ...]]] = None
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -152,11 +163,27 @@ class KnowledgeGraph:
     def __hash__(self) -> int:
         return hash(self.triples)
 
-    def subjects(self) -> list[Term]:
-        return sorted(self._by_subject, key=Term.nt)
+    def subjects(self) -> tuple[Term, ...]:
+        """Every subject, in ``Term.nt()`` order (built on the first call)."""
+        if self._subject_order is None:
+            self._subject_order = tuple(sorted(self._by_subject, key=Term.nt))
+        return self._subject_order
 
     def triples_with_subject(self, s: Term) -> tuple[Triple, ...]:
         return self._by_subject.get(s, ())
+
+    def subjects_with(self, p: Term, o: Term) -> tuple[Term, ...]:
+        """Subjects of the triples ``(?, p, o)``, in ``Term.nt()`` order.
+
+        The index behind it is built on the first call.
+        """
+        if self._by_pred_obj is None:
+            index: dict[tuple[Term, Term], list[Term]] = {}
+            for s in self.subjects():
+                for t in self._by_subject[s]:
+                    index.setdefault((t.p, t.o), []).append(s)
+            self._by_pred_obj = {key: tuple(ss) for key, ss in index.items()}
+        return self._by_pred_obj.get((p, o), ())
 
     def sorted_triples(self) -> list[Triple]:
         return sorted(self.triples, key=Triple.sort_key)
@@ -279,30 +306,58 @@ def _match_pattern(tp: TriplePattern, triple: Triple, binding: Binding) -> Optio
     return _match_term(tp.o, triple.o, b)
 
 
+def _resolve(term: PatternTerm, binding: Binding) -> Optional[Term]:
+    """The term a pattern position is fixed to under ``binding``, if any."""
+    if isinstance(term, Variable):
+        return binding.get(term.name)
+    return term
+
+
+def _seek_subjects(star: StarPattern, graph: KnowledgeGraph, binding: Binding) -> tuple[Term, ...]:
+    """Candidate subjects for a star whose subject is unbound, in ``Term.nt()``
+    order: the shortest (predicate, object) posting list among the patterns
+    that fix both, else every subject of the graph."""
+    best: Optional[tuple[Term, ...]] = None
+    for tp in star.patterns:
+        p = _resolve(tp.p, binding)
+        o = _resolve(tp.o, binding)
+        if p is None or o is None:
+            continue
+        subjects = graph.subjects_with(p, o)
+        if best is None or len(subjects) < len(best):
+            best = subjects
+    return graph.subjects() if best is None else best
+
+
 def match_star(star: StarPattern, graph: KnowledgeGraph, seed: Optional[Binding] = None) -> list[Binding]:
-    """All bindings extending ``seed`` that satisfy every pattern of the star in ``graph``."""
+    """All bindings extending ``seed`` that satisfy every pattern of the star in ``graph``.
+
+    Rows come in the order of a scan over ``graph.sorted_triples()``: an
+    unbound subject is sought through the graph's indexes, subjects in
+    ``Term.nt()`` order, and each subject's triples are already sorted.
+    """
     results: list[Binding] = []
+    binding = dict(seed or {})
+    patterns = star.patterns
+    if not patterns:
+        return [binding]
 
-    def candidates(binding: Binding) -> Iterable[Triple]:
-        subj = star.subject
-        if isinstance(subj, Variable):
-            bound = binding.get(subj.name)
-            if bound is not None:
-                return graph.triples_with_subject(bound)
-            return graph.sorted_triples()
-        return graph.triples_with_subject(subj)
-
-    def walk(i: int, binding: Binding) -> None:
-        if i == len(star.patterns):
+    def walk(i: int, binding: Binding, triples: tuple[Triple, ...]) -> None:
+        if i == len(patterns):
             results.append(binding)
             return
-        tp = star.patterns[i]
-        for triple in candidates(binding):
+        tp = patterns[i]
+        for triple in triples:
             b = _match_pattern(tp, triple, binding)
             if b is not None:
-                walk(i + 1, b)
+                walk(i + 1, b, triples)
 
-    walk(0, dict(seed or {}))
+    subject = _resolve(star.subject, binding)
+    if subject is not None:
+        walk(0, binding, graph.triples_with_subject(subject))
+    else:
+        for s in _seek_subjects(star, graph, binding):
+            walk(0, binding, graph.triples_with_subject(s))
     return results
 
 

@@ -18,8 +18,8 @@ from .fragments import (DEFAULT_MIN_SUBJECTS, Fragment, fragment_by_cs,
 from .index import SPBFIndex, SPBFSlice, combine
 from .model import (Binding, KnowledgeGraph, Query, match_star,
                     project_bindings)
-from .planner import (OptimizeResult, baseline_plan, compatibility_graph,
-                      node_sort_key, optimize)
+from .planner import (CompatibilityGraph, OptimizeResult, baseline_plan,
+                      compatibility_graph, node_sort_key, optimize)
 from .plans import (Cartesian, EmptyPlan, Join, Plan, Selection, Union_,
                     render_plan, right_selections)
 
@@ -28,6 +28,10 @@ MESSAGE_HEADER_BYTES = 64
 
 class SimulationError(RuntimeError):
     pass
+
+
+class StateFileError(ValueError):
+    """A network state file that cannot be read or is malformed."""
 
 
 @dataclass(frozen=True)
@@ -334,10 +338,7 @@ def execute_plan(net: Network, plan: Plan, origin: str,
     return rows, metrics
 
 
-def measure_relevance(net: Network, query: Query, origin: str) -> tuple[int, int]:
-    """(relevant fragments, relevant nodes) after compatibility pruning at the origin."""
-    index = net.node(origin).index
-    compat = compatibility_graph(query, index, query.distinct)
+def _relevance(compat: CompatibilityGraph, index: SPBFIndex) -> tuple[int, int]:
     fragments = compat.fragments()
     holders: set[str] = set()
     for fid in fragments:
@@ -345,16 +346,21 @@ def measure_relevance(net: Network, query: Query, origin: str) -> tuple[int, int
     return len(fragments), len(holders)
 
 
+def measure_relevance(net: Network, query: Query, origin: str) -> tuple[int, int]:
+    """(relevant fragments, relevant nodes) after compatibility pruning at the origin."""
+    index = net.node(origin).index
+    return _relevance(compatibility_graph(query, index, query.distinct), index)
+
+
 def run_query(net: Network, query: Query, origin: str) -> tuple[list[Binding], Metrics, OptimizeResult]:
     """Optimize at the origin's index, execute, and fill in all metrics."""
+    index = net.node(origin).index
     start = time.perf_counter_ns()
-    result = optimize(query, net.node(origin).index, origin)
+    result = optimize(query, index, origin)
     opt_ns = time.perf_counter_ns() - start
     rows, metrics = execute_plan(net, result.plan, origin, query)
     metrics.optimization_ns = opt_ns
-    nrf, nrn = measure_relevance(net, query, origin)
-    metrics.relevant_fragments = nrf
-    metrics.relevant_nodes = nrn
+    metrics.relevant_fragments, metrics.relevant_nodes = _relevance(result.compat, index)
     return rows, metrics, result
 
 
@@ -388,28 +394,40 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
 
 
 def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> Network:
-    state = json.loads(Path(path).read_text(encoding="utf-8"))
-    c = state["config"]
-    config = NetworkConfig(
-        node_count=c["node_count"],
-        neighbor_count=c["neighbor_count"],
-        replication_factor=c["replication_factor"],
-        horizon=c["horizon"],
-        rng_seed=c["rng_seed"],
-        bloom=BloomParams(**c["bloom"]),
-        omega=c["omega"],
-        page_size=c["page_size"],
-    )
-    net = network_from_layout(config, state["topology"])
-    if fragments is None and state.get("fragments_dir"):
-        from .fragments import load_fragments
-        fragments = load_fragments(Path(state["fragments_dir"]))
-    if fragments is not None:
+    """Rebuild a network from a state file written by ``dump_network``. A state
+    file that cannot be read or lacks a field raises ``StateFileError``."""
+    try:
+        state = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as e:
+        raise StateFileError(f"cannot read state file {path}: {e.strerror}") from e
+    try:
+        c = state["config"]
+        config = NetworkConfig(
+            node_count=c["node_count"],
+            neighbor_count=c["neighbor_count"],
+            replication_factor=c["replication_factor"],
+            horizon=c["horizon"],
+            rng_seed=c["rng_seed"],
+            bloom=BloomParams(**c["bloom"]),
+            omega=c["omega"],
+            page_size=c["page_size"],
+        )
+        net = network_from_layout(config, state["topology"])
         allocation = {fid: tuple(h) for fid, h in state["allocation"].items()}
+        fragments_dir = state.get("fragments_dir")
+    except (KeyError, TypeError, AttributeError) as e:
+        raise StateFileError(f"malformed state file {path}: {type(e).__name__} {e}") from e
+    if fragments is None and fragments_dir:
+        from .fragments import load_fragments
+        try:
+            fragments = load_fragments(Path(fragments_dir))
+        except OSError as e:
+            raise StateFileError(f"cannot read fragments of state file {path}: {e}") from e
+    if fragments is not None:
         frags = list(fragments)
         missing = set(allocation) - {f.id for f in frags}
         if missing:
-            raise SimulationError(f"state references unknown fragments: {sorted(missing)}")
+            raise StateFileError(f"state references unknown fragments: {sorted(missing)}")
         place_fragments(net, [f for f in frags if f.id in allocation],
                         origin=net.node_ids()[0], allocation=allocation)
     return net

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import IO, Iterable, Union
 
-from .model import BLANK, IRI, KnowledgeGraph, Term, Triple, blank, iri, literal
+from .model import (BLANK, IRI, LITERAL_UNESCAPES, KnowledgeGraph, Term, Triple,
+                    blank, iri, literal)
 
 
 class NTriplesError(ValueError):
@@ -13,7 +14,6 @@ class NTriplesError(ValueError):
         self.line = line
 
 
-_UNESCAPES = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "'": "'", "\\": "\\"}
 
 
 class _LineScanner:
@@ -78,8 +78,8 @@ class _LineScanner:
                     raise self.error("unterminated escape")
                 esc = self.text[self.pos]
                 self.pos += 1
-                if esc in _UNESCAPES:
-                    chars.append(_UNESCAPES[esc])
+                if esc in LITERAL_UNESCAPES:
+                    chars.append(LITERAL_UNESCAPES[esc])
                 elif esc == "u" or esc == "U":
                     width = 4 if esc == "u" else 8
                     code = self.text[self.pos:self.pos + width]

@@ -6,7 +6,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .model import Query, Term, TriplePattern, Variable, iri, literal
+from .model import (LITERAL_UNESCAPES, Query, Term, TriplePattern, Variable, iri,
+                    literal)
 
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
@@ -90,6 +91,28 @@ def _check_unsupported(token: str) -> None:
         raise UnsupportedFeatureError(token.upper())
 
 
+_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
+
+
+def _unescape(body: str) -> str:
+    r"""Decode the literal escapes the parser supports: \uXXXX, \UXXXXXXXX and
+    the N-Triples one-character escapes (\t \b \n \r \f \" \' \\). Any
+    other escape is an error; other characters stay as written."""
+
+    def decode(m: re.Match) -> str:
+        code = m.group(1) or m.group(2)
+        if code is not None:
+            try:
+                return chr(int(code, 16))
+            except ValueError:  # beyond U+10FFFF
+                raise QueryParseError(f"bad unicode escape {m.group()!r}") from None
+        if m.group(3) not in LITERAL_UNESCAPES:
+            raise QueryParseError(f"unsupported escape {m.group()!r} in literal")
+        return LITERAL_UNESCAPES[m.group(3)]
+
+    return _ESCAPE.sub(decode, body)
+
+
 def _parse_term(tok: str, prefixes: dict[str, str]) -> Term:
     if tok.startswith("<"):
         return iri(tok[1:-1])
@@ -97,7 +120,7 @@ def _parse_term(tok: str, prefixes: dict[str, str]) -> Term:
         m = re.match(r'"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*)|\^\^<([^<>\s]*)>)?$', tok)
         if m is None:
             raise QueryParseError(f"malformed literal {tok!r}")
-        value = m.group(1).encode().decode("unicode_escape")
+        value = _unescape(m.group(1))
         return literal(value, datatype=m.group(3), lang=m.group(2))
     if re.fullmatch(r"[+-]?\d+", tok):
         return literal(tok, datatype=XSD_INTEGER)

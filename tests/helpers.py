@@ -9,7 +9,8 @@ from typing import Optional
 from starbloom.bloom import BloomParams, ExactBitset, SPBF
 from starbloom.fragments import fragment_by_cs
 from starbloom.index import SPBFIndex, SPBFSlice
-from starbloom.model import Query, StarPattern, Triple, Variable, iri, star_decompose
+from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple,
+                             Variable, _match_pattern, iri, star_decompose)
 from starbloom.netsim import Network, NetworkConfig, network_from_layout, place_fragments
 from starbloom.ntriples import parse_ntriples
 from starbloom.sparql import parse_query
@@ -178,12 +179,44 @@ def build_running_network(m: int = 20000, k: int = 5) -> tuple[Network, dict[str
     return net, names
 
 
+# -- reference implementations ----------------------------------------------------
+
+
+def reference_match_star(star: StarPattern, graph: KnowledgeGraph,
+                         seed: Optional[Binding] = None) -> list[Binding]:
+    """Full-scan star matching: an unbound subject walks every triple in
+    ``sorted_triples()`` order. Indexed ``match_star`` must return the same
+    list in the same order."""
+    results: list[Binding] = []
+
+    def candidates(binding: Binding):
+        subj = star.subject
+        if isinstance(subj, Variable):
+            bound = binding.get(subj.name)
+            if bound is not None:
+                return graph.triples_with_subject(bound)
+            return graph.sorted_triples()
+        return graph.triples_with_subject(subj)
+
+    def walk(i: int, binding: Binding) -> None:
+        if i == len(star.patterns):
+            results.append(binding)
+            return
+        tp = star.patterns[i]
+        for triple in candidates(binding):
+            b = _match_pattern(tp, triple, binding)
+            if b is not None:
+                walk(i + 1, b)
+
+    walk(0, dict(seed or {}))
+    return results
+
+
 # -- random small instances -------------------------------------------------------
 
 
 def random_graph(rng: random.Random, n_subjects: int, predicates: list[str],
-                 max_triples: int = 300) -> "KnowledgeGraph":
-    from starbloom.model import KnowledgeGraph
+                 max_triples: int = 300) -> KnowledgeGraph:
     subjects = [f"http://ex/s{i}" for i in range(n_subjects)]
     objects = subjects + [f"http://ex/o{i}" for i in range(n_subjects)]
     triples = set()

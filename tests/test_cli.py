@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -212,6 +215,23 @@ class TestQueryCommand:
         main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
         state = build_state(tmp_path, frag_dir)
         assert main(["query", str(query), "--state", str(state), "--node", "n99"]) == EXIT_DATA
+
+    @pytest.mark.parametrize("state_text", [None, "{}"])
+    def test_bad_state_file_exit_code(self, workspace, state_text):
+        tmp_path, _, query = workspace
+        state = tmp_path / "state.json"
+        if state_text is not None:
+            state.write_text(state_text, encoding="utf-8")
+        src = Path(sys.modules["starbloom"].__file__).parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "starbloom.cli", "query", str(query),
+             "--state", str(state), "--node", "n1"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
 
     def test_plan_command_prints_table(self, workspace, capsys):
         tmp_path, data, query = workspace

@@ -105,6 +105,12 @@ class TestFragmentByCS:
             for tr in f.triples:
                 assert seen.setdefault(tr.s, f.id) == f.id
 
+    def test_graph_is_built_once(self):
+        frag = fragment_by_cs(random_graph(2))[0]
+        graph = frag.graph()
+        assert frag.graph() is graph
+        assert graph.triples == frag.triples
+
     def test_ids_stable(self):
         g = random_graph(1)
         a = {f.id for f in fragment_by_cs(g)}

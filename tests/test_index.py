@@ -6,7 +6,8 @@ from helpers import AUTH, NAT, RUNNING_ALLOCATION
 from starbloom.bloom import BloomParams, build_spbf
 from starbloom.fragments import fragment_by_cs
 from starbloom.index import (SPBFIndex, SPBFSlice, UnknownFragmentError, combine,
-                             load_slices, write_slices)
+                             load_slices, slice_from_bytes, slice_to_bytes,
+                             write_slices)
 from starbloom.model import (KnowledgeGraph, StarPattern, Triple, TriplePattern,
                              Variable, evaluate_bgp, iri)
 
@@ -150,3 +151,12 @@ def test_slice_files_round_trip(tmp_path):
     for s in slices:
         assert by_id[s.fragment_id].spbf == s.spbf
         assert by_id[s.fragment_id].holders == s.holders
+
+
+def test_every_truncated_slice_raises_value_error():
+    _, _, index = random_fragment_universe(3)
+    data = slice_to_bytes(next(iter(index.slices.values())))
+    assert slice_from_bytes(data, expected_params=PARAMS).holders
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            slice_from_bytes(data[:cut], expected_params=PARAMS)

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from starbloom.model import (KnowledgeGraph, Triple, TriplePattern, Variable,
-                             bindings_multiset, evaluate_bgp, iri, literal,
-                             star_decompose)
+from helpers import reference_match_star
+from starbloom.model import (KnowledgeGraph, StarPattern, Triple, TriplePattern,
+                             Variable, blank, bindings_multiset, evaluate_bgp,
+                             iri, literal, match_star, star_decompose)
 
 
 def tp(s, p, o):
@@ -165,3 +166,64 @@ class TestEvaluateBGP:
         got = evaluate_bgp(query.bgp, graph)
         assert bindings_multiset(got) == bindings_multiset(expected)
         assert len(got) == 6
+
+
+# -- indexed star matching against the full-scan reference --------------------
+
+_SUBJECTS = [iri(f"http://x/{n}") for n in "abcd"] + [blank("b0")]
+_PREDICATES = [iri(f"http://x/{n}") for n in "pqr"]
+_TERMS = _SUBJECTS + _PREDICATES + [literal("1"), literal("1", lang="en"), literal("café")]
+_VARIABLES = [Variable(n) for n in "sxyp"]  # ?s is the star subject when it is a variable
+
+graphs = st.sets(
+    st.tuples(st.sampled_from(_SUBJECTS), st.sampled_from(_PREDICATES), st.sampled_from(_TERMS)),
+    max_size=40,
+).map(lambda ts: KnowledgeGraph(Triple(*t) for t in ts))
+
+
+@st.composite
+def stars(draw):
+    subject = draw(st.sampled_from([Variable("s"), Variable("s"), *_SUBJECTS]))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(_PREDICATES + [Variable("p"), Variable("s")]),
+                                    st.sampled_from(_TERMS + _VARIABLES)),
+                          min_size=1, max_size=3))
+    return StarPattern(subject, tuple(TriplePattern(subject, p, o) for p, o in pairs))
+
+
+# seeds may bind the subject, an object, a predicate, or ?z outside the star
+seeds = st.dictionaries(st.sampled_from(["s", "x", "y", "p", "z"]), st.sampled_from(_TERMS),
+                        max_size=3)
+
+
+class _NoScanGraph(KnowledgeGraph):
+    __slots__ = ()
+
+    def sorted_triples(self):
+        raise AssertionError("match_star scanned the whole graph")
+
+
+class TestMatchStar:
+    @given(graphs, stars(), seeds)
+    @settings(max_examples=400, deadline=None)
+    def test_same_rows_in_same_order_as_full_scan(self, graph, star, seed):
+        expected = reference_match_star(star, graph, seed)
+        assert match_star(star, _NoScanGraph(graph.triples), seed) == expected
+
+    def test_object_seek_uses_shortest_posting_list(self):
+        g, (p, q, a, b, c) = small_graph()
+        star = StarPattern(Variable("s"), (tp(Variable("s"), p, Variable("o")),
+                                           tp(Variable("s"), q, c)))
+        assert g.subjects_with(q, c) == (a, b)
+        assert g.subjects_with(p, c) == (b,)
+        rows = match_star(star, g, seed={"o": c})
+        assert rows == [{"o": c, "s": b}]
+
+    def test_empty_star_returns_the_seed(self):
+        g, (p, q, a, b, c) = small_graph()
+        assert match_star(StarPattern(Variable("s"), ()), g, {"x": a}) == [{"x": a}]
+
+    def test_indexes_are_built_once(self):
+        g, (p, q, a, b, c) = small_graph()
+        assert g.subjects() is g.subjects()
+        assert g.subjects() == (a, b)
+        assert g.subjects_with(p, iri("http://x/none")) == ()

@@ -10,10 +10,10 @@ from starbloom.fragments import fragment_by_cs
 from starbloom.model import (KnowledgeGraph, Triple, bindings_multiset,
                              evaluate_bgp, iri)
 from starbloom.netsim import (MESSAGE_HEADER_BYTES, NetworkConfig,
-                              SimulationError, create_network, dump_network,
-                              execute_plan, load_network, measure_relevance,
-                              network_from_layout, place_fragments, run_query,
-                              upload)
+                              SimulationError, StateFileError, create_network,
+                              dump_network, execute_plan, load_network,
+                              measure_relevance, network_from_layout,
+                              place_fragments, run_query, upload)
 from starbloom.planner import optimize
 from starbloom.plans import Join, Selection
 from starbloom.sparql import parse_query
@@ -196,6 +196,37 @@ class TestExecutePlan:
         kinds = [line.split()[0] for line in traces[0]]
         assert kinds == ["request", "page", "request", "page"]
 
+    def test_running_plan_seeks_instead_of_scanning(self, running_query, monkeypatch):
+        """Indexed star matching: no full scan, and the messages and row
+        order of the full-scan executor."""
+        scans = []
+        full_scan = KnowledgeGraph.sorted_triples
+        monkeypatch.setattr(KnowledgeGraph, "sorted_triples",
+                            lambda self: scans.append(self) or full_scan(self))
+        net, _ = build_running_network(m=4096, k=3)
+        result = optimize(running_query, net.nodes["n1"].index, "n1")
+        trace: list[str] = []
+        rows, _ = execute_plan(net, result.plan, "n1", running_query, trace=trace)
+        assert scans == []
+        assert trace == ["request n1->n3 bytes=130 rows=0", "page n3->n1 bytes=326 rows=2",
+                         "request n1->n2 bytes=130 rows=0", "page n2->n1 bytes=588 rows=4"]
+        assert [(r["person"].lexical[-2:], r["publication"].lexical[-2:]) for r in rows] == [
+            ("a4", "b5"), ("a5", "b1"), ("a3", "b4"), ("a1", "b1"), ("a1", "b2"), ("a2", "b3")]
+
+    def test_run_query_builds_one_compatibility_graph(self, running_query, monkeypatch):
+        import starbloom.netsim as netsim
+        import starbloom.planner as planner
+        calls = []
+        build = planner.compatibility_graph
+        monkeypatch.setattr(planner, "compatibility_graph",
+                            lambda *a, **kw: calls.append(a) or build(*a, **kw))
+        monkeypatch.setattr(netsim, "compatibility_graph", planner.compatibility_graph)
+        net, _ = build_running_network(m=4096, k=3)
+        _, metrics, _ = run_query(net, running_query, "n1")
+        assert len(calls) == 1
+        assert (metrics.relevant_fragments, metrics.relevant_nodes) == \
+               measure_relevance(net, running_query, "n1") == (5, 5)
+
 
 class TestMeasureRelevance:
     def test_running_query(self, running_query):
@@ -240,3 +271,12 @@ class TestStatePersistence:
         rows_a, _, _ = run_query(net, running_query, "n1")
         rows_b, _, _ = run_query(loaded, running_query, "n1")
         assert bindings_multiset(rows_a) == bindings_multiset(rows_b)
+
+    def test_state_naming_absent_fragments_is_a_state_error(self, tmp_path):
+        net, _ = build_running_network(m=4096, k=3)
+        state = tmp_path / "net.json"
+        dump_network(net, state, fragments_dir=tmp_path / "gone")
+        with pytest.raises(StateFileError, match="cannot read fragments"):
+            load_network(state)
+        with pytest.raises(StateFileError, match="unknown fragments"):
+            load_network(state, fragments=[])

@@ -68,3 +68,28 @@ def test_unknown_prefix():
 def test_variable_predicate_allowed():
     q = parse_query("SELECT * WHERE { ?s ?p ?o . }")
     assert isinstance(q.bgp[0].p, Variable)
+
+
+def _literal(text: str) -> Term:
+    return parse_query('SELECT * WHERE { ?s <http://ex/p> %s . }' % text).bgp[0].o
+
+
+def test_non_ascii_literal_kept():
+    assert _literal('"café"').lexical == "café"
+    assert _literal('"日本"@ja').lexical == "日本"
+
+
+@pytest.mark.parametrize("escaped, decoded", [
+    (r'"a\"b"', 'a"b'), (r'"a\\b"', "a\\b"), (r'"a\nb"', "a\nb"),
+    (r'"a\rb"', "a\rb"), (r'"a\tb"', "a\tb"), (r'"caf\u00e9"', "café"),
+    (r'"\U0001F600"', "\U0001F600"), (r'"a\bb"', "a\bb"), (r'"a\fb"', "a\fb"),
+    (r'"a\'b"', "a'b"),
+])
+def test_supported_escapes_decode(escaped, decoded):
+    assert _literal(escaped).lexical == decoded
+
+
+@pytest.mark.parametrize("escaped", [r'"\x41"', r'"\a"', r'"\uZZZZ"', r'"\U00110000"'])
+def test_other_escapes_rejected(escaped):
+    with pytest.raises(QueryParseError):
+        _literal(escaped)
