@@ -58,13 +58,17 @@ def _estimate_partition(set_bits: int, m: int, k: int) -> float:
 
 
 class PartitionedBitvector:
-    """Bloom bitvectors grouped by term prefix; partitions appear on first insert."""
+    """Bloom bitvectors grouped by term prefix; partitions appear on first insert.
 
-    __slots__ = ("params", "partitions")
+    ``estimate()`` is computed once and cached; ``insert_raw``, the only
+    mutator, clears the cache."""
+
+    __slots__ = ("params", "partitions", "_estimate")
 
     def __init__(self, params: BloomParams, partitions: Optional[dict[str, int]] = None):
         self.params = params
         self.partitions: dict[str, int] = dict(partitions or {})
+        self._estimate: Optional[float] = None
 
     def insert(self, term: Term) -> "PartitionedBitvector":
         prefix, data = term.filter_key()
@@ -76,6 +80,7 @@ class PartitionedBitvector:
         for pos in self.params.positions(data):
             bits |= 1 << pos
         self.partitions[prefix] = bits
+        self._estimate = None
 
     def maybe_contains(self, term: Term) -> bool:
         prefix, data = term.filter_key()
@@ -115,9 +120,11 @@ class PartitionedBitvector:
 
     def estimate(self) -> float:
         """Estimated number of distinct inserted values, summed over partitions."""
-        m, k = self.params.m, self.params.k
-        return sum(_estimate_partition(bits.bit_count(), m, k)
-                   for bits in self.partitions.values())
+        if self._estimate is None:
+            m, k = self.params.m, self.params.k
+            self._estimate = sum(_estimate_partition(bits.bit_count(), m, k)
+                                 for bits in self.partitions.values())
+        return self._estimate
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PartitionedBitvector)

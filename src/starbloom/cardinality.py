@@ -3,7 +3,7 @@ whole execution plans, with and without duplicate elimination."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 from .bloom import SPBF, Summary
@@ -138,11 +138,16 @@ def card_join_indexed(star_k: StarPattern, star_l: StarPattern, predicate: str,
 @dataclass
 class PlanContext:
     """What plan-level estimation needs to know: each fragment's filter, the
-    compatibility edges, and whether the query eliminates duplicates."""
+    compatibility edges, and whether the query eliminates duplicates.
+
+    ``card_cache`` memoizes plan cardinalities on ``(plan, distinct)``. A
+    context lives for one query, so the cache does too."""
 
     spbfs: Mapping[str, SPBF]
     edges: frozenset[tuple[str, str]] = frozenset()
     distinct: bool = False
+    card_cache: dict[tuple[Plan, bool], float] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def joins(self, f1: str, f2: str) -> bool:
         return tuple(sorted((f1, f2))) in self.edges
@@ -215,6 +220,14 @@ def card_plan(plan: Plan, ctx: PlanContext, distinct: Optional[bool] = None) -> 
 
 
 def _card_plan(plan: Plan, ctx: PlanContext, distinct: bool) -> float:
+    key = (plan, distinct)
+    card = ctx.card_cache.get(key)
+    if card is None:
+        card = ctx.card_cache[key] = _estimate_plan(plan, ctx, distinct)
+    return card
+
+
+def _estimate_plan(plan: Plan, ctx: PlanContext, distinct: bool) -> float:
     if isinstance(plan, EmptyPlan):
         return 0.0
     if isinstance(plan, Selection):

@@ -9,13 +9,17 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .model import KnowledgeGraph, Term, Triple
-from .ntriples import parse_ntriples, serialize_ntriples
+from .ntriples import NTriplesError, parse_ntriples, serialize_ntriples
 
 DEFAULT_MIN_SUBJECTS = 50
 
 
 class SubjectNotFoundError(KeyError):
     pass
+
+
+class FragmentStoreError(ValueError):
+    """A fragment directory that cannot be read back."""
 
 
 @dataclass(frozen=True, order=True)
@@ -284,19 +288,42 @@ def write_fragments(fragments: Iterable[Fragment], outdir: Path) -> Path:
 
 
 def load_fragments(outdir: Path) -> list[Fragment]:
+    """Read fragments written by ``write_fragments``. A missing or unreadable
+    directory, manifest or fragment file, a manifest line lacking a field, or
+    a malformed fragment file raises ``FragmentStoreError`` naming the path or
+    line."""
     outdir = Path(outdir)
     manifest = outdir / "manifest.jsonl"
     frags: list[Fragment] = []
-    for line in manifest.read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(_read_text(manifest).splitlines(), 1):
         if not line.strip():
             continue
-        meta = json.loads(line)
-        graph = parse_ntriples((outdir / meta["file"]).read_text(encoding="utf-8"))
-        frags.append(Fragment(
-            id=meta["id"],
-            cs=CharacteristicSet.of(meta["predicates"]),
-            triples=graph.triples,
-            subject_count=meta["subject_count"],
-        ))
+        where = f"{manifest} line {lineno}"
+        try:
+            meta = json.loads(line)
+            path, fid = outdir / meta["file"], meta["id"]
+            cs = CharacteristicSet.of(meta["predicates"])
+            subject_count = meta["subject_count"]
+        except json.JSONDecodeError as e:
+            raise FragmentStoreError(f"{where}: malformed JSON: {e.msg}") from e
+        except KeyError as e:
+            raise FragmentStoreError(f"{where}: missing field {e}") from e
+        except TypeError as e:
+            raise FragmentStoreError(f"{where}: malformed entry: {e}") from e
+        try:
+            graph = parse_ntriples(_read_text(path))
+        except NTriplesError as e:
+            raise FragmentStoreError(f"{path}: {e}") from e
+        frags.append(Fragment(id=fid, cs=cs, triples=graph.triples,
+                              subject_count=subject_count))
     frags.sort(key=Fragment.sort_key)
     return frags
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as e:
+        raise FragmentStoreError(f"cannot read {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise FragmentStoreError(f"{path} is not UTF-8: {e.reason}") from e

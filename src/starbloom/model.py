@@ -229,14 +229,17 @@ class StarPattern:
         for tp in self.patterns:
             if tp.s != self.subject:
                 raise ValueError("star pattern requires a common subject")
+        # the star is frozen, and planning asks for these in its inner loops
+        object.__setattr__(self, "_key", self.subject.nt())
+        object.__setattr__(self, "_variables", frozenset(bgp_variables(self.patterns)))
 
     @property
     def key(self) -> str:
         """Stable identifier (the subject's rendering)."""
-        return self.subject.nt()
+        return self._key
 
-    def variables(self) -> set[str]:
-        return bgp_variables(self.patterns)
+    def variables(self) -> frozenset[str]:
+        return self._variables
 
     def predicates(self) -> tuple[str, ...]:
         """Sorted non-variable predicate IRIs."""

@@ -418,10 +418,10 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
     except (KeyError, TypeError, AttributeError) as e:
         raise StateFileError(f"malformed state file {path}: {type(e).__name__} {e}") from e
     if fragments is None and fragments_dir:
-        from .fragments import load_fragments
+        from .fragments import FragmentStoreError, load_fragments
         try:
             fragments = load_fragments(Path(fragments_dir))
-        except OSError as e:
+        except FragmentStoreError as e:
             raise StateFileError(f"cannot read fragments of state file {path}: {e}") from e
     if fragments is not None:
         frags = list(fragments)

@@ -3,7 +3,7 @@ and delegation-aware construction of left-deep execution plans."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .cardinality import (PlanContext, card_join_with_selection, card_plan,
@@ -219,14 +219,30 @@ class DPEntry:
 
 @dataclass
 class OptimizeResult:
+    """The chosen plan and the subquery table. ``optimize`` plans only the
+    full star set; ``entry`` plans any other subset when first asked for it."""
+
     plan: Plan
     table: dict[frozenset[str], DPEntry]
     compat: CompatibilityGraph
     context: PlanContext
     origin: str
+    planner: Optional[_Planner] = field(default=None, repr=False, compare=False)
 
     def entry(self, *star_keys: str) -> DPEntry:
-        return self.table[frozenset(star_keys)]
+        subset = frozenset(star_keys)
+        found = self.table.get(subset)
+        if found is None:
+            if self.planner is None or not subset or not subset <= self.planner.stars.keys():
+                raise KeyError(subset)
+            found = self.table[subset] = self.planner.subquery(subset)
+        return found
+
+    def fill_table(self) -> None:
+        """Plan every star subset not yet in the table."""
+        if self.planner is not None:
+            for subset in _subsets(sorted(self.planner.stars)):
+                self.entry(*subset)
 
 
 def _chain_order(stars: list[StarPattern], cards: dict[str, float]) -> list[tuple[StarPattern, bool]]:
@@ -300,6 +316,12 @@ class _Planner:
         self.index = index
         self.ctx = ctx
         self.origin = origin
+        self.stars = {st.key: st for st in compat.stars}
+        self.cards = {
+            key: sum(card_star(st, ctx.spbfs[fid], ctx.distinct)
+                     for fid in compat.star_fragments[key])
+            for key, st in self.stars.items()
+        }
 
     def single_star_shapes(self, star: StarPattern) -> list:
         return [_SelShape(star, fid) for fid in self.compat.star_fragments[star.key]]
@@ -419,43 +441,17 @@ class _Planner:
             chosen.append(best_plan)
         return union_of(chosen)
 
-
-def optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeResult:
-    """Build the cheapest delegated left-deep plan for a query at ``origin``.
-
-    Join order follows ascending star cardinality with Cartesian products
-    last; fragments group into parallel branches along the compatibility
-    graph; delegation is optimized over the holders of each operator's
-    right-side fragments plus the origin. The table keeps the best plan for
-    every star subset.
-    """
-    stars = star_decompose(query.bgp)
-    compat = compatibility_graph(query, index, query.distinct)
-    spbfs = {fid: index.spbf(fid) for fid in index.fragment_ids()}
-    ctx = PlanContext(spbfs=spbfs, edges=compat.edges, distinct=query.distinct)
-    table: dict[frozenset[str], DPEntry] = {}
-
-    if compat.is_empty():
-        return OptimizeResult(EmptyPlan(), table, compat, ctx, origin)
-
-    planner = _Planner(compat, index, ctx, origin)
-    cards = {
-        st.key: sum(card_star(st, spbfs[fid], query.distinct)
-                    for fid in compat.star_fragments[st.key])
-        for st in stars
-    }
-    by_key = {st.key: st for st in stars}
-
-    for subset in _subsets([st.key for st in stars]):
-        sub_stars = [by_key[k] for k in sorted(subset)]
-        order = _chain_order(sub_stars, cards)
-        shapes = planner.single_star_shapes(order[0][0])
+    def subquery(self, subset: frozenset[str]) -> DPEntry:
+        """Plan one star subset on its own: greedy order, branch grouping,
+        then delegation."""
+        order = _chain_order([self.stars[k] for k in sorted(subset)], self.cards)
+        shapes = self.single_star_shapes(order[0][0])
         for st, cartesian in order[1:]:
-            shapes = planner.extend(shapes, st, cartesian)
-        plan = planner.best_plan(shapes) if shapes else EmptyPlan()
-        plan_cost = cost(plan, origin, ctx)
-        table[frozenset(subset)] = DPEntry(
-            stars=frozenset(subset),
+            shapes = self.extend(shapes, st, cartesian)
+        plan = self.best_plan(shapes) if shapes else EmptyPlan()
+        plan_cost = cost(plan, self.origin, self.ctx)
+        return DPEntry(
+            stars=subset,
             order=tuple(st.key for st, _ in order),
             plan=plan,
             cardinality=plan_cost.cardinality,
@@ -463,8 +459,28 @@ def optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeResult:
             cost=plan_cost.total,
         )
 
-    final = table[frozenset(st.key for st in stars)].plan
-    return OptimizeResult(final, table, compat, ctx, origin)
+
+def optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeResult:
+    """Build the cheapest delegated left-deep plan for a query at ``origin``.
+
+    Join order follows ascending star cardinality with Cartesian products
+    last; fragments group into parallel branches along the compatibility
+    graph; delegation is optimized over the holders of each operator's
+    right-side fragments plus the origin. Only the full star set is planned
+    here; each subset is planned independently, so ``OptimizeResult.entry``
+    plans any other subset on demand, and ``explain`` fills the whole table.
+    """
+    compat = compatibility_graph(query, index, query.distinct)
+    spbfs = {fid: index.spbf(fid) for fid in index.fragment_ids()}
+    ctx = PlanContext(spbfs=spbfs, edges=compat.edges, distinct=query.distinct)
+
+    if compat.is_empty():
+        return OptimizeResult(EmptyPlan(), {}, compat, ctx, origin)
+
+    planner = _Planner(compat, index, ctx, origin)
+    full = frozenset(planner.stars)
+    table = {full: planner.subquery(full)}
+    return OptimizeResult(table[full].plan, table, compat, ctx, origin, planner)
 
 
 def _subsets(keys: list[str]) -> list[tuple[str, ...]]:
@@ -513,6 +529,7 @@ def format_number(x: float) -> str:
 
 def explain(result: OptimizeResult) -> str:
     """Stable text rendering of the chosen plan and the subquery table."""
+    result.fill_table()
     ctx, origin = result.context, result.origin
     lines: list[str] = []
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .model import (LITERAL_UNESCAPES, Query, Term, TriplePattern, Variable, iri,
-                    literal)
+from .model import (LITERAL_UNESCAPES, PatternTerm, Query, Term, TriplePattern,
+                    Variable, iri, literal)
 
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
@@ -137,6 +137,14 @@ def _parse_term(tok: str, prefixes: dict[str, str]) -> Term:
     raise QueryParseError(f"unexpected token {tok!r} in triple pattern")
 
 
+def _read_term(ts: _Tokens, prefixes: dict[str, str]) -> PatternTerm:
+    tok = ts.next()
+    _check_unsupported(tok)
+    if tok.startswith("?"):
+        return Variable(tok[1:])
+    return _parse_term(tok, prefixes)
+
+
 def parse_query(text: str) -> Query:
     """Parse query text; unsupported SPARQL keywords raise UnsupportedFeatureError."""
     ts = _Tokens(_tokenize(text))
@@ -192,16 +200,21 @@ def parse_query(text: str) -> Query:
         if tok == "}":
             ts.next()
             break
-        _check_unsupported(tok)
-        row: list = []
-        for _ in range(3):
-            tok = ts.next()
-            _check_unsupported(tok)
-            if tok.startswith("?"):
-                row.append(Variable(tok[1:]))
-            else:
-                row.append(_parse_term(tok, prefixes))
-        patterns.append(TriplePattern(row[0], row[1], row[2]))
+        # subject, then predicate-object lists split by ';' (a trailing ';' is
+        # allowed), each an object list split by ','
+        subject = _read_term(ts, prefixes)
+        while True:
+            predicate = _read_term(ts, prefixes)
+            patterns.append(TriplePattern(subject, predicate, _read_term(ts, prefixes)))
+            while ts.peek() == ",":
+                ts.next()
+                patterns.append(TriplePattern(subject, predicate, _read_term(ts, prefixes)))
+            if ts.peek() != ";":
+                break
+            while ts.peek() == ";":
+                ts.next()
+            if ts.peek() in (".", "}"):
+                break
         if ts.peek() == ".":
             ts.next()
 

@@ -3,16 +3,21 @@ variants) and a generator for small random networks."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Optional
 
 from starbloom.bloom import BloomParams, ExactBitset, SPBF
+from starbloom.cardinality import PlanContext, card_star
 from starbloom.fragments import fragment_by_cs
 from starbloom.index import SPBFIndex, SPBFSlice
 from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple,
                              Variable, _match_pattern, iri, star_decompose)
 from starbloom.netsim import Network, NetworkConfig, network_from_layout, place_fragments
 from starbloom.ntriples import parse_ntriples
+from starbloom.planner import (DPEntry, OptimizeResult, _chain_order, _Planner,
+                               compatibility_graph, cost)
+from starbloom.plans import EmptyPlan
 from starbloom.sparql import parse_query
 
 DBO = "http://dbpedia.org/ontology/"
@@ -210,6 +215,55 @@ def reference_match_star(star: StarPattern, graph: KnowledgeGraph,
 
     walk(0, dict(seed or {}))
     return results
+
+
+class _NoCache(dict):
+    """A plan-cardinality cache that never stores, so every estimate is
+    computed afresh."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+def reference_optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeResult:
+    """Eager planning: every star subset is planned up front, in (size, keys)
+    order, with no memoized plan cardinalities. The lazy ``optimize`` must
+    give the same plan, and ``explain`` the same text."""
+    stars = star_decompose(query.bgp)
+    compat = compatibility_graph(query, index, query.distinct)
+    spbfs = {fid: index.spbf(fid) for fid in index.fragment_ids()}
+    ctx = PlanContext(spbfs=spbfs, edges=compat.edges, distinct=query.distinct,
+                      card_cache=_NoCache())
+    table: dict[frozenset[str], DPEntry] = {}
+    if compat.is_empty():
+        return OptimizeResult(EmptyPlan(), table, compat, ctx, origin)
+
+    planner = _Planner(compat, index, ctx, origin)
+    cards = {
+        st.key: sum(card_star(st, spbfs[fid], query.distinct)
+                    for fid in compat.star_fragments[st.key])
+        for st in stars
+    }
+    by_key = {st.key: st for st in stars}
+    keys = [st.key for st in stars]
+    for size in range(1, len(keys) + 1):
+        for subset in itertools.combinations(keys, size):
+            order = _chain_order([by_key[k] for k in sorted(subset)], cards)
+            shapes = planner.single_star_shapes(order[0][0])
+            for st, cartesian in order[1:]:
+                shapes = planner.extend(shapes, st, cartesian)
+            plan = planner.best_plan(shapes) if shapes else EmptyPlan()
+            plan_cost = cost(plan, origin, ctx)
+            table[frozenset(subset)] = DPEntry(
+                stars=frozenset(subset),
+                order=tuple(st.key for st, _ in order),
+                plan=plan,
+                cardinality=plan_cost.cardinality,
+                transfer=plan_cost.transfer,
+                cost=plan_cost.total,
+            )
+    final = table[frozenset(keys)].plan
+    return OptimizeResult(final, table, compat, ctx, origin)
 
 
 # -- random small instances -------------------------------------------------------

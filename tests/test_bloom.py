@@ -134,6 +134,16 @@ class TestEstimate:
             assert now >= last - 1e-9
             last = now
 
+    def test_cached_estimate_follows_later_inserts(self):
+        pb, _ = fill(40)
+        pb.estimate()
+        pb.insert(iri("http://ex/r40"))
+        pb.insert(literal("forty-one"))
+        fresh, _ = fill(41)
+        fresh.insert(literal("forty-one"))
+        assert pb.estimate() == fresh.estimate()
+        assert pb.estimate() > fill(40)[0].estimate()
+
     def test_saturated_partition_caps_and_warns(self):
         pb = PartitionedBitvector(BloomParams(m=64, k=2), {"p": (1 << 64) - 1})
         with pytest.warns(SaturationWarning):

@@ -41,6 +41,16 @@ def build_state(tmp_path, frag_dir) -> Path:
     return state
 
 
+def run_cli_subprocess(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python -m starbloom.cli`` in a fresh interpreter, so an uncaught
+    exception shows as a traceback on stderr."""
+    src = Path(sys.modules["starbloom"].__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "starbloom.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestFragmentCommand:
     def test_running_data_five_fragments(self, workspace, capsys):
         tmp_path, data, _ = workspace
@@ -111,6 +121,31 @@ class TestIndexCommand:
         assert (out / "index.manifest").exists()
         from starbloom.index import load_slices
         assert len(load_slices(out)) == 5
+
+    @pytest.mark.parametrize("broken", [
+        "missing directory", "missing manifest",
+        "no file", "no id", "no predicates", "no subject_count"])
+    def test_broken_fragment_directory_exit_code(self, workspace, broken):
+        tmp_path, data, _ = workspace
+        frag_dir = tmp_path / "frags"
+        if broken != "missing directory":
+            main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
+            manifest = frag_dir / "manifest.jsonl"
+            if broken == "missing manifest":
+                manifest.unlink()
+            else:
+                field = broken.split(" ", 1)[1]
+                lines = manifest.read_text(encoding="utf-8").splitlines()
+                meta = json.loads(lines[0])
+                del meta[field]
+                lines[0] = json.dumps(meta)
+                manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli_subprocess(["index", str(frag_dir), str(tmp_path / "slices")])
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        expected = "manifest.jsonl" if broken.startswith("missing") else "line 1"
+        assert expected in proc.stderr
 
 
 class TestNetworkCommand:

@@ -1,13 +1,14 @@
+import json
 import random
 from collections import Counter
 
 import pytest
 
 from helpers import AUTH, DEATH, LANG, NAT, PUB
-from starbloom.fragments import (SubjectNotFoundError, characteristic_set,
-                                 fragment_by_cs, load_fragments,
-                                 merge_infrequent, merge_to_count,
-                                 write_fragments)
+from starbloom.fragments import (FragmentStoreError, SubjectNotFoundError,
+                                 characteristic_set, fragment_by_cs,
+                                 load_fragments, merge_infrequent,
+                                 merge_to_count, write_fragments)
 from starbloom.model import KnowledgeGraph, Triple, iri
 from starbloom.ntriples import parse_ntriples
 
@@ -236,3 +237,17 @@ def test_manifest_round_trip(tmp_path):
     loaded = load_fragments(tmp_path)
     assert {f.id: (f.cs, f.triples, f.subject_count) for f in loaded} == \
            {f.id: (f.cs, f.triples, f.subject_count) for f in frags}
+
+
+def test_load_fragments_errors_name_the_path(tmp_path):
+    with pytest.raises(FragmentStoreError, match="manifest.jsonl"):
+        load_fragments(tmp_path / "absent")
+    write_fragments(fragment_by_cs(random_graph(9)), tmp_path)
+    manifest = tmp_path / "manifest.jsonl"
+    first = json.loads(manifest.read_text(encoding="utf-8").splitlines()[0])
+    (tmp_path / first["file"]).write_text("<http://ex/s> <http://ex/p\n", encoding="utf-8")
+    with pytest.raises(FragmentStoreError, match=first["file"]):
+        load_fragments(tmp_path)
+    manifest.write_text("\n" + json.dumps({"id": "x"}) + "\n", encoding="utf-8")
+    with pytest.raises(FragmentStoreError, match="line 2: missing field 'file'"):
+        load_fragments(tmp_path)

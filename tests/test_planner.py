@@ -4,9 +4,10 @@ import time
 
 import pytest
 
-from helpers import build_running_network, exact_running_index, random_graph, random_star_query
+from helpers import (build_running_network, exact_running_index, random_graph,
+                     random_network, random_star_query, reference_optimize)
 from starbloom.cardinality import PlanContext
-from starbloom.model import star_decompose
+from starbloom.model import Query, TriplePattern, Variable, iri, star_decompose
 from starbloom.planner import (compatibility_graph, cost, explain,
                                node_sort_key, optimize, transfer_cost)
 from starbloom.plans import (Cartesian, EmptyPlan, Join, Selection, Union_,
@@ -185,6 +186,88 @@ class TestOptimizeRunningExample:
         assert "selection ?publication fragment=f5 @n1" in text
         assert "-- subqueries --" in text
         assert "card=154.688" in text
+
+
+class TestLazyTable:
+    def test_optimize_plans_only_the_full_set(self, running_query, running_index):
+        result = optimize(running_query, running_index, "n1")
+        full = frozenset({"?country", "?person", "?publication"})
+        assert set(result.table) == {full}
+        assert result.entry("?country", "?person").cost == pytest.approx(1700)
+        assert set(result.table) == {full, frozenset({"?country", "?person"})}
+        explain(result)
+        assert len(result.table) == 7
+
+    def test_entry_rejects_unknown_subsets(self, running_query, running_index):
+        result = optimize(running_query, running_index, "n1")
+        for keys in [(), ("?nobody",), ("?person", "?nobody")]:
+            with pytest.raises(KeyError):
+                result.entry(*keys)
+        assert len(result.table) == 1
+
+    def test_empty_plan_has_empty_table(self, running_index):
+        q = parse_query("SELECT * WHERE { ?s <http://none/p> ?o . }")
+        result = optimize(q, running_index, "n1")
+        assert result.table == {}
+        with pytest.raises(KeyError):
+            result.entry("?s")
+        assert "-- subqueries --" not in explain(result)
+
+
+def _random_query(rng: random.Random, preds: list[str]) -> Query:
+    """1-5 stars; each star after the first either takes an earlier star's
+    object variable as its subject or starts a new Cartesian component."""
+    patterns = []
+    links: list[Variable] = []
+    for i in range(rng.randint(1, 5)):
+        if links and rng.random() < 0.7:
+            subject = links.pop(rng.randrange(len(links)))
+        else:
+            subject = Variable(f"s{i}")
+        for j in range(rng.randint(1, 2)):
+            obj = Variable(f"o{i}_{j}")
+            patterns.append(TriplePattern(subject, iri(rng.choice(preds)), obj))
+            links.append(obj)
+    return Query(bgp=tuple(patterns), distinct=rng.random() < 0.5)
+
+
+def _components(stars) -> int:
+    groups: list[set[str]] = []
+    for st in stars:
+        linked = [g for g in groups if g & st.variables()]
+        merged = set(st.variables()).union(*linked)
+        groups = [g for g in groups if not g & st.variables()] + [merged]
+    return len(groups)
+
+
+def test_lazy_optimize_matches_eager_reference():
+    """On random graphs, networks and 1-5 star queries (DISTINCT on and off,
+    Cartesian components), the lazy table and memoized estimates give the
+    eager planner's plan and explain text byte for byte."""
+    seen = {"nonempty": 0, "stars5": 0, "cartesian": 0, "distinct": 0}
+    for seed in range(120):
+        rng = random.Random(7000 + seed)
+        preds = [f"http://ex/p{i}" for i in range(rng.randint(3, 4))]
+        graph = random_graph(rng, n_subjects=rng.randint(8, 20), predicates=preds,
+                             max_triples=120)
+        net = random_network(rng, graph, min_subjects=rng.choice([1, 3]))
+        query = _random_query(rng, preds)
+        origin = rng.choice(net.node_ids())
+        index = net.nodes[origin].index
+
+        got = optimize(query, index, origin)
+        want = reference_optimize(query, index, origin)
+        assert render_plan(got.plan) == render_plan(want.plan), f"seed {seed}"
+        assert explain(got) == explain(want), f"seed {seed}"
+        assert got.table == want.table, f"seed {seed}"
+
+        stars = star_decompose(query.bgp)
+        if not isinstance(got.plan, EmptyPlan):
+            seen["nonempty"] += 1
+            seen["stars5"] += len(stars) == 5
+            seen["cartesian"] += _components(stars) > 1
+            seen["distinct"] += query.distinct
+    assert seen["nonempty"] >= 60 and min(seen.values()) >= 5, seen
 
 
 class TestScaleInvariance:

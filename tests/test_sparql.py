@@ -93,3 +93,37 @@ def test_supported_escapes_decode(escaped, decoded):
 def test_other_escapes_rejected(escaped):
     with pytest.raises(QueryParseError):
         _literal(escaped)
+
+
+SHORTHAND_PREFIX = "PREFIX dbo: <http://dbpedia.org/ontology/>\nSELECT * WHERE { "
+
+
+@pytest.mark.parametrize("shorthand, expanded", [
+    ("?p dbo:nationality ?c ; dbo:author ?b .",
+     "?p dbo:nationality ?c . ?p dbo:author ?b ."),
+    ("?p dbo:author ?b1 , ?b2 , ?b3 .",
+     "?p dbo:author ?b1 . ?p dbo:author ?b2 . ?p dbo:author ?b3 ."),
+    ("?p dbo:author ?b1 , ?b2 ; dbo:nationality ?c . ?c dbo:capital ?k",
+     "?p dbo:author ?b1 . ?p dbo:author ?b2 . ?p dbo:nationality ?c . ?c dbo:capital ?k ."),
+    ("?p dbo:nationality ?c ; .", "?p dbo:nationality ?c ."),
+    ("?p dbo:nationality ?c ;", "?p dbo:nationality ?c ."),
+    ("?p dbo:nationality ?c ;; ?v \"x\" ; . ?c dbo:capital <http://ex/k>",
+     "?p dbo:nationality ?c . ?p ?v \"x\" . ?c dbo:capital <http://ex/k> ."),
+])
+def test_shorthand_expands_in_document_order(shorthand, expanded):
+    got = parse_query(SHORTHAND_PREFIX + shorthand + " }")
+    assert got == parse_query(SHORTHAND_PREFIX + expanded + " }")
+
+
+@pytest.mark.parametrize("body", [
+    "?p dbo:author ?b , . }",
+    "?p dbo:author ?b , }",
+    "?p dbo:author , ?b . }",
+    "?p ; dbo:author ?b . }",
+    "; ?p dbo:author ?b . }",
+    "?p dbo:author ?b ; , ?c . }",
+    "?p dbo:author ?b ;",
+])
+def test_malformed_shorthand_rejected(body):
+    with pytest.raises(QueryParseError):
+        parse_query(SHORTHAND_PREFIX + body)
