@@ -66,9 +66,7 @@ def cmd_fragment(args: argparse.Namespace) -> int:
 def cmd_index(args: argparse.Namespace) -> int:
     frags = load_fragments(Path(args.fragments))
     params = BloomParams(m=args.bloom_m, k=args.bloom_k)
-    holders: dict[str, list[str]] = {}
-    if args.holders:
-        holders = json.loads(Path(args.holders).read_text(encoding="utf-8"))
+    holders = _read_holders(Path(args.holders)) if args.holders else {}
     slices = []
     for f in frags:
         hs = tuple(holders.get(f.id, ("local",)))
@@ -76,6 +74,22 @@ def cmd_index(args: argparse.Namespace) -> int:
     write_slices(slices, Path(args.outdir))
     print(f"slices: {len(slices)}")
     return EXIT_OK
+
+
+def _read_holders(path: Path) -> dict[str, list[str]]:
+    """A JSON object mapping fragment ids to non-empty lists of node ids."""
+    try:
+        holders = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as e:
+        raise DataError(f"cannot read holders file {path}: {e.strerror}") from e
+    except ValueError as e:  # bad JSON or not UTF-8
+        raise DataError(f"holders file {path} is not JSON: {e}") from e
+    if not (isinstance(holders, dict) and all(
+            isinstance(hs, list) and hs and all(isinstance(h, str) for h in hs)
+            for hs in holders.values())):
+        raise DataError(f"holders file {path} must map fragment ids to "
+                        "non-empty lists of node ids")
+    return holders
 
 
 def _network_config(args: argparse.Namespace) -> NetworkConfig:

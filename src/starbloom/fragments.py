@@ -82,12 +82,51 @@ class Fragment:
         reused (the fragment is immutable)."""
         graph = self.__dict__.get("_graph")
         if graph is None:
-            graph = KnowledgeGraph(self.triples)
+            graph = self._build_graph()
             object.__setattr__(self, "_graph", graph)
         return graph
 
+    def _build_graph(self) -> KnowledgeGraph:
+        return KnowledgeGraph(self.triples)
+
+    def file_digest(self) -> str:
+        """SHA-256 of the fragment's N-Triples file as ``write_fragments``
+        writes it."""
+        return _sha256(_ntriples_bytes(self.triples))
+
     def sort_key(self) -> tuple[str, str]:
         return (self.cs.canonical(), self.id)
+
+
+class StoredFragment(Fragment):
+    """A fragment in a fragment directory, pinned to the SHA-256 of its file.
+
+    The file is parsed on the first use of ``graph()`` or ``triples``, and the
+    parsed graph is kept; a file that no longer has the pinned digest raises
+    ``FragmentStoreError`` instead.
+    """
+
+    def __init__(self, id: str, cs: CharacteristicSet, subject_count: int,
+                 path: Path, digest: str):
+        for name, value in (("id", id), ("cs", cs), ("subject_count", subject_count),
+                            ("path", path), ("digest", digest)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def triples(self) -> frozenset[Triple]:  # type: ignore[override]
+        return self.graph().triples
+
+    def _build_graph(self) -> KnowledgeGraph:
+        data = _read_bytes(self.path)
+        if _sha256(data) != self.digest:
+            raise FragmentStoreError(f"{self.path} changed after it was first read")
+        try:
+            return parse_ntriples(_decode(data, self.path))
+        except NTriplesError as e:
+            raise FragmentStoreError(f"{self.path}: {e}") from e
+
+    def file_digest(self) -> str:
+        return self.digest
 
 
 def characteristic_set(s: Term, graph: KnowledgeGraph) -> CharacteristicSet:
@@ -276,7 +315,7 @@ def write_fragments(fragments: Iterable[Fragment], outdir: Path) -> Path:
     with manifest.open("w", encoding="utf-8") as mf:
         for f in sorted(fragments, key=Fragment.sort_key):
             name = f"{f.id}.nt"
-            (outdir / name).write_text(serialize_ntriples(f.triples), encoding="utf-8")
+            (outdir / name).write_bytes(_ntriples_bytes(f.triples))
             mf.write(json.dumps({
                 "id": f.id,
                 "predicates": list(f.cs.predicates),
@@ -287,15 +326,25 @@ def write_fragments(fragments: Iterable[Fragment], outdir: Path) -> Path:
     return manifest
 
 
-def load_fragments(outdir: Path) -> list[Fragment]:
-    """Read fragments written by ``write_fragments``. A missing or unreadable
-    directory, manifest or fragment file, a manifest line lacking a field, or
-    a malformed fragment file raises ``FragmentStoreError`` naming the path or
-    line."""
+def load_fragments(outdir: Path) -> list[StoredFragment]:
+    """Read and parse fragments written by ``write_fragments``. Errors are
+    those of ``open_fragments``, plus ``FragmentStoreError`` naming a
+    malformed fragment file."""
+    frags = open_fragments(outdir)
+    for f in frags:
+        f.graph()
+    return frags
+
+
+def open_fragments(outdir: Path) -> list[StoredFragment]:
+    """Read the manifest of a fragment directory and hash each fragment file;
+    nothing is parsed until a fragment is used. A missing or unreadable
+    directory, manifest or fragment file, or a manifest line lacking a field,
+    raises ``FragmentStoreError`` naming the path or line."""
     outdir = Path(outdir)
     manifest = outdir / "manifest.jsonl"
-    frags: list[Fragment] = []
-    for lineno, line in enumerate(_read_text(manifest).splitlines(), 1):
+    frags: list[StoredFragment] = []
+    for lineno, line in enumerate(_decode(_read_bytes(manifest), manifest).splitlines(), 1):
         if not line.strip():
             continue
         where = f"{manifest} line {lineno}"
@@ -310,20 +359,29 @@ def load_fragments(outdir: Path) -> list[Fragment]:
             raise FragmentStoreError(f"{where}: missing field {e}") from e
         except TypeError as e:
             raise FragmentStoreError(f"{where}: malformed entry: {e}") from e
-        try:
-            graph = parse_ntriples(_read_text(path))
-        except NTriplesError as e:
-            raise FragmentStoreError(f"{path}: {e}") from e
-        frags.append(Fragment(id=fid, cs=cs, triples=graph.triples,
-                              subject_count=subject_count))
+        frags.append(StoredFragment(fid, cs, subject_count, path,
+                                    _sha256(_read_bytes(path))))
     frags.sort(key=Fragment.sort_key)
     return frags
 
 
-def _read_text(path: Path) -> str:
+def _ntriples_bytes(triples: Iterable[Triple]) -> bytes:
+    return serialize_ntriples(triples).encode("utf-8")
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_bytes(path: Path) -> bytes:
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_bytes()
     except OSError as e:
         raise FragmentStoreError(f"cannot read {path}: {e.strerror}") from e
+
+
+def _decode(data: bytes, path: Path) -> str:
+    try:
+        return data.decode("utf-8")
     except UnicodeDecodeError as e:
         raise FragmentStoreError(f"{path} is not UTF-8: {e.reason}") from e

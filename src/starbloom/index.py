@@ -15,6 +15,10 @@ class UnknownFragmentError(KeyError):
     pass
 
 
+class SliceStoreError(ValueError):
+    """A slice directory that cannot be read back."""
+
+
 @dataclass(frozen=True)
 class SPBFSlice:
     """Everything one fragment contributes to an index: its filter and holders."""
@@ -137,10 +141,30 @@ def write_slices(slices: Iterable[SPBFSlice], outdir: Path) -> Path:
 
 
 def load_slices(outdir: Path, expected_params: Optional[BloomParams] = None) -> list[SPBFSlice]:
+    """Read slices written by ``write_slices``. A missing or unreadable
+    directory, manifest or slice file, a malformed or truncated slice, or
+    filter parameters other than ``expected_params`` raise ``SliceStoreError``
+    naming the path."""
     outdir = Path(outdir)
     manifest = outdir / "index.manifest"
+    try:
+        names = _read_bytes(manifest).decode("utf-8").splitlines()
+    except UnicodeDecodeError as e:
+        raise SliceStoreError(f"{manifest} is not UTF-8: {e.reason}") from e
     out = []
-    for name in manifest.read_text(encoding="utf-8").splitlines():
+    for name in names:
         if name.strip():
-            out.append(slice_from_bytes((outdir / name).read_bytes(), expected_params))
+            path = outdir / name
+            data = _read_bytes(path)
+            try:
+                out.append(slice_from_bytes(data, expected_params))
+            except ValueError as e:
+                raise SliceStoreError(f"{path}: {e}") from e
     return out
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise SliceStoreError(f"cannot read {path}: {e.strerror}") from e

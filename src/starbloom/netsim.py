@@ -5,6 +5,7 @@ execution with bind joins, and message/byte accounting."""
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from dataclasses import dataclass, field, asdict
@@ -12,10 +13,12 @@ from math import ceil
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .bloom import BloomParams, build_spbf
-from .fragments import (DEFAULT_MIN_SUBJECTS, Fragment, fragment_by_cs,
-                        merge_infrequent, merge_to_count)
-from .index import SPBFIndex, SPBFSlice, combine
+from .bloom import SPBF, BloomParams, build_spbf
+from .fragments import (DEFAULT_MIN_SUBJECTS, Fragment, FragmentStoreError,
+                        fragment_by_cs, merge_infrequent, merge_to_count,
+                        open_fragments)
+from .index import (SPBFIndex, SPBFSlice, SliceStoreError, combine,
+                    load_slices, write_slices)
 from .model import (Binding, KnowledgeGraph, Query, match_star,
                     project_bindings)
 from .planner import (CompatibilityGraph, OptimizeResult, baseline_plan,
@@ -83,6 +86,7 @@ class Network:
         self.nodes = nodes
         self.fragments: dict[str, Fragment] = {}
         self.allocation: dict[str, tuple[str, ...]] = {}
+        self.filters: dict[str, SPBF] = {}
 
     def node_ids(self) -> list[str]:
         return sorted(self.nodes, key=node_sort_key)
@@ -111,17 +115,17 @@ class Network:
             frontier = nxt
         return seen
 
-    def rebuild_indexes(self) -> None:
-        """Each node combines the slices of fragments stored within its horizon."""
-        spbfs = {fid: build_spbf(frag, self.config.bloom)
-                 for fid, frag in sorted(self.fragments.items())}
+    def rebuild_indexes(self, filters: dict[str, SPBF]) -> None:
+        """Record the given fragment filters; then each node combines the
+        slices of the fragments stored within its horizon."""
+        self.filters.update(filters)
         for node in self.nodes.values():
             view = self.reachable(node.id)
             slices = []
             for fid, holders in sorted(self.allocation.items()):
                 visible = tuple(h for h in holders if h in view)
                 if visible:
-                    slices.append(SPBFSlice(fid, spbfs[fid], visible))
+                    slices.append(SPBFSlice(fid, self.filters[fid], visible))
             node.index = combine(slices)
 
 
@@ -159,8 +163,8 @@ def place_fragments(net: Network, fragments: Iterable[Fragment], origin: str,
     chosen from the breadth-first expansion around the origin (seeded),
     unless an explicit allocation is given."""
     frags = sorted(fragments, key=Fragment.sort_key)
-    factor = net.config.replication_factor
     if allocation is None:
+        factor = net.config.replication_factor
         candidates = _bfs_order(net, origin)
         if len(candidates) < factor:
             raise SimulationError(
@@ -168,6 +172,14 @@ def place_fragments(net: Network, fragments: Iterable[Fragment], origin: str,
         rng = random.Random((net.config.rng_seed, origin, len(frags)).__repr__())
         allocation = {f.id: tuple(sorted(rng.sample(candidates, factor), key=node_sort_key))
                       for f in frags}
+    _store_fragments(net, frags, allocation)
+    net.rebuild_indexes({f.id: build_spbf(f, net.config.bloom) for f in frags})
+    return UploadReport(len(frags), dict(net.allocation))
+
+
+def _store_fragments(net: Network, frags: list[Fragment],
+                     allocation: dict[str, Iterable[str]]) -> None:
+    factor = net.config.replication_factor
     for f in frags:
         holders = tuple(sorted(allocation[f.id], key=node_sort_key))
         if len(holders) != factor:
@@ -176,8 +188,6 @@ def place_fragments(net: Network, fragments: Iterable[Fragment], origin: str,
         net.allocation[f.id] = holders
         for h in holders:
             net.node(h).store[f.id] = f
-    net.rebuild_indexes()
-    return UploadReport(len(frags), dict(net.allocation))
 
 
 def _bfs_order(net: Network, origin: str) -> list[str]:
@@ -374,7 +384,18 @@ def run_baseline(net: Network, query: Query, origin: str) -> tuple[list[Binding]
 
 
 def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None) -> None:
+    """Write a network's state file. A network holding fragments also gets
+    one index slice per fragment (its filter and holders) in a directory
+    named after the state file plus ``.slices``, and the state pins each
+    fragment's N-Triples file by SHA-256. Directories are recorded relative to
+    the state file's directory."""
+    path = Path(path)
     cfg = net.config
+    slices_dir = None
+    if net.allocation:
+        slices_dir = path.with_name(path.name + ".slices")
+        write_slices((SPBFSlice(fid, net.filters[fid], holders)
+                      for fid, holders in net.allocation.items()), slices_dir)
     state = {
         "config": {
             "node_count": cfg.node_count,
@@ -388,16 +409,30 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
         },
         "topology": {nid: list(net.nodes[nid].neighbors) for nid in net.node_ids()},
         "allocation": {fid: list(holders) for fid, holders in sorted(net.allocation.items())},
-        "fragments_dir": str(fragments_dir) if fragments_dir else None,
+        "fragments_dir": (os.path.relpath(os.path.abspath(fragments_dir),
+                                          os.path.abspath(path.parent))
+                          if fragments_dir else None),
+        "slices_dir": slices_dir.name if slices_dir else None,
+        "fragment_digests": {fid: net.fragments[fid].file_digest()
+                             for fid in sorted(net.allocation)},
     }
-    Path(path).write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(state, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> Network:
-    """Rebuild a network from a state file written by ``dump_network``. A state
-    file that cannot be read or lacks a field raises ``StateFileError``."""
+    """Rebuild a network from a state file written by ``dump_network``.
+
+    Nodes combine the filters of the state's index slices; no filter is
+    rebuilt. Unless ``fragments`` are given, they are opened from the state's
+    fragment directory, each file checked against its recorded digest, and
+    each parsed only when first used. Directories resolve against the state
+    file's directory. A state file that cannot be read or lacks a field,
+    unreadable or mismatched slices, and missing or changed fragment files
+    raise ``StateFileError``.
+    """
+    path = Path(path)
     try:
-        state = json.loads(Path(path).read_text(encoding="utf-8"))
+        state = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise StateFileError(f"cannot read state file {path}: {e.strerror}") from e
     try:
@@ -414,20 +449,48 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
         )
         net = network_from_layout(config, state["topology"])
         allocation = {fid: tuple(h) for fid, h in state["allocation"].items()}
-        fragments_dir = state.get("fragments_dir")
+        fragments_dir = _beside(path, state.get("fragments_dir"))
+        slices_dir = _beside(path, state.get("slices_dir"))
+        digests = {fid: d for fid, d in state.get("fragment_digests", {}).items()}
     except (KeyError, TypeError, AttributeError) as e:
         raise StateFileError(f"malformed state file {path}: {type(e).__name__} {e}") from e
-    if fragments is None and fragments_dir:
-        from .fragments import FragmentStoreError, load_fragments
+    if not allocation:
+        return net
+    if slices_dir is None:
+        raise StateFileError(f"state file {path} names no index slices; "
+                             "re-run `starbloom network create`")
+    try:
+        slices = load_slices(slices_dir, expected_params=config.bloom)
+    except SliceStoreError as e:
+        raise StateFileError(f"cannot read index slices of state file {path}: {e}") from e
+    if {s.fragment_id: set(s.holders) for s in slices} != \
+            {fid: set(h) for fid, h in allocation.items()}:
+        raise StateFileError(f"index slices in {slices_dir} do not match "
+                             f"the allocation in state file {path}")
+    if fragments is None:
+        if fragments_dir is None:
+            raise StateFileError(f"state file {path} names no fragment directory")
         try:
-            fragments = load_fragments(Path(fragments_dir))
+            fragments = open_fragments(fragments_dir)
         except FragmentStoreError as e:
             raise StateFileError(f"cannot read fragments of state file {path}: {e}") from e
-    if fragments is not None:
-        frags = list(fragments)
-        missing = set(allocation) - {f.id for f in frags}
-        if missing:
-            raise StateFileError(f"state references unknown fragments: {sorted(missing)}")
-        place_fragments(net, [f for f in frags if f.id in allocation],
-                        origin=net.node_ids()[0], allocation=allocation)
+        for f in fragments:
+            if f.id in allocation and f.file_digest() != digests.get(f.id):
+                raise StateFileError(f"{f.path} changed after state file {path} was "
+                                     "written; re-run `starbloom network create`")
+    by_id = {f.id: f for f in fragments}
+    missing = set(allocation) - set(by_id)
+    if missing:
+        raise StateFileError(f"state references unknown fragments: {sorted(missing)}")
+    try:
+        _store_fragments(net, sorted((by_id[fid] for fid in allocation), key=Fragment.sort_key),
+                         allocation)
+    except SimulationError as e:
+        raise StateFileError(f"malformed allocation in state file {path}: {e}") from e
+    net.rebuild_indexes({s.fragment_id: s.spbf for s in slices})
     return net
+
+
+def _beside(state_path: Path, name: Optional[str]) -> Optional[Path]:
+    """A directory named in a state file, resolved against the file's directory."""
+    return state_path.parent / name if name else None

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -41,14 +42,27 @@ def build_state(tmp_path, frag_dir) -> Path:
     return state
 
 
-def run_cli_subprocess(args: list[str]) -> subprocess.CompletedProcess:
+def run_cli_subprocess(args: list[str], cwd=None) -> subprocess.CompletedProcess:
     """Run ``python -m starbloom.cli`` in a fresh interpreter, so an uncaught
     exception shows as a traceback on stderr."""
-    src = Path(sys.modules["starbloom"].__file__).parents[1]
+    src = Path(sys.modules["starbloom"].__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-m", "starbloom.cli", *args],
+    return subprocess.run([sys.executable, "-m", "starbloom.cli", *args], cwd=cwd,
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def oracle_rows() -> str:
+    """The running query's canonical result table, from the brute-force oracle."""
+    rows = evaluate_bgp(parse_query(RUNNING_QUERY).bgp, parse_ntriples(RUNNING_DATA))
+    variables = sorted({v for row in rows for v in row})
+    lines = ["\t".join(f"?{v}" for v in variables)]
+    lines.extend(sorted("\t".join(row[v].nt() for v in variables) for row in rows))
+    return "\n".join(lines) + "\n"
+
+
+CREATE_ARGS = ["--nodes", "5", "--neighbors", "2", "--replication", "2", "--seed", "14",
+               "--bloom-m", "4096", "--bloom-k", "3"]
 
 
 class TestFragmentCommand:
@@ -147,6 +161,22 @@ class TestIndexCommand:
         expected = "manifest.jsonl" if broken.startswith("missing") else "line 1"
         assert expected in proc.stderr
 
+    @pytest.mark.parametrize("holders", [
+        None, "not json", "[]", '{"x": "n1"}', '{"x": []}', '{"x": [1]}'])
+    def test_bad_holders_file_exit_code(self, workspace, holders):
+        tmp_path, data, _ = workspace
+        frag_dir = tmp_path / "frags"
+        main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
+        path = tmp_path / "holders.json"
+        if holders is not None:
+            path.write_text(holders, encoding="utf-8")
+        proc = run_cli_subprocess(["index", str(frag_dir), str(tmp_path / "slices"),
+                                   "--holders", str(path)])
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert str(path) in proc.stderr
+
 
 class TestNetworkCommand:
     def test_create_and_load(self, workspace, capsys):
@@ -192,13 +222,7 @@ class TestQueryCommand:
         assert "join @n1" in out and "-- subqueries --" in out
 
         # canonical golden produced by the brute-force oracle
-        graph = parse_ntriples(RUNNING_DATA)
-        q = parse_query(RUNNING_QUERY)
-        rows = evaluate_bgp(q.bgp, graph)
-        variables = sorted({v for row in rows for v in row})
-        lines = ["\t".join(f"?{v}" for v in variables)]
-        lines.extend(sorted("\t".join(row[v].nt() for v in variables) for row in rows))
-        assert results.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+        assert results.read_text(encoding="utf-8") == oracle_rows()
 
         payload = json.loads(metrics.read_text(encoding="utf-8"))
         assert payload["results"] == 6
@@ -277,3 +301,78 @@ class TestQueryCommand:
         out = capsys.readouterr().out
         assert "-- subqueries --" in out
         assert "join @n1" in out
+
+
+class TestPersistedState:
+    """``network create`` writes index slices beside the state file and pins
+    the fragment files by digest; ``query`` loads both."""
+
+    @pytest.fixture()
+    def created(self, workspace):
+        tmp_path, data, query = workspace
+        frag_dir = tmp_path / "frags"
+        main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
+        state = tmp_path / "net.json"
+        assert main(["network", "create", str(state), "--fragments", str(frag_dir),
+                     *CREATE_ARGS]) == EXIT_OK
+        return tmp_path, state, query
+
+    def test_query_from_loaded_slices_matches_oracle(self, created):
+        tmp_path, state, query = created
+        assert (tmp_path / "net.json.slices" / "index.manifest").exists()
+        results = tmp_path / "rows.tsv"
+        assert main(["query", str(query), "--state", str(state), "--node", "n1",
+                     "--results", str(results), "--metrics", str(tmp_path / "m.json")]) == EXIT_OK
+        assert results.read_text(encoding="utf-8") == oracle_rows()
+
+    def test_relative_paths_resolve_against_the_state_file(self, workspace):
+        tmp_path, data, query = workspace
+        work, elsewhere = tmp_path / "work", tmp_path / "elsewhere"
+        work.mkdir()
+        elsewhere.mkdir()
+        shutil.copy(data, work / "data.nt")
+        for args in (["fragment", "data.nt", "frags", "--min-subjects", "1"],
+                     ["network", "create", "state.json", "--fragments", "frags", *CREATE_ARGS]):
+            proc = run_cli_subprocess(args, cwd=work)
+            assert proc.returncode == EXIT_OK, proc.stderr
+        state = json.loads((work / "state.json").read_text(encoding="utf-8"))
+        assert (state["fragments_dir"], state["slices_dir"]) == ("frags", "state.json.slices")
+        proc = run_cli_subprocess(["query", str(query), "--state", str(work / "state.json"),
+                                   "--node", "n1", "--results", "rows.tsv"], cwd=elsewhere)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert (elsewhere / "rows.tsv").read_text(encoding="utf-8") == oracle_rows()
+
+    @pytest.mark.parametrize("broken", [
+        "no slice directory", "truncated slice", "other bloom m", "no slices named",
+        "edited fragment", "missing fragment"])
+    def test_broken_persisted_state_exit_code(self, created, broken):
+        tmp_path, state, query = created
+        slices = tmp_path / "net.json.slices"
+        fragment = sorted((tmp_path / "frags").glob("*.nt"))[0]
+        expected = "slices"
+        if broken == "no slice directory":
+            shutil.rmtree(slices)
+        elif broken == "truncated slice":
+            first = sorted(slices.glob("*.slice"))[0]
+            first.write_bytes(first.read_bytes()[:40])
+            expected = first.name
+        elif broken in ("other bloom m", "no slices named"):
+            data = json.loads(state.read_text(encoding="utf-8"))
+            if broken == "other bloom m":
+                data["config"]["bloom"]["m"] = 2048
+            else:
+                del data["slices_dir"]
+                expected = "network create"
+            state.write_text(json.dumps(data), encoding="utf-8")
+        elif broken == "edited fragment":
+            lines = fragment.read_text(encoding="utf-8").splitlines(keepends=True)
+            fragment.write_text("".join(lines[:-1]), encoding="utf-8")  # still valid
+            expected = fragment.name
+        else:
+            fragment.unlink()
+            expected = fragment.name
+        proc = run_cli_subprocess(["query", str(query), "--state", str(state), "--node", "n1"])
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert expected in proc.stderr

@@ -5,10 +5,12 @@ from collections import Counter
 import pytest
 
 from helpers import AUTH, DEATH, LANG, NAT, PUB
+import starbloom.fragments as fragments_module
 from starbloom.fragments import (FragmentStoreError, SubjectNotFoundError,
                                  characteristic_set, fragment_by_cs,
                                  load_fragments, merge_infrequent,
-                                 merge_to_count, write_fragments)
+                                 merge_to_count, open_fragments,
+                                 write_fragments)
 from starbloom.model import KnowledgeGraph, Triple, iri
 from starbloom.ntriples import parse_ntriples
 
@@ -251,3 +253,45 @@ def test_load_fragments_errors_name_the_path(tmp_path):
     manifest.write_text("\n" + json.dumps({"id": "x"}) + "\n", encoding="utf-8")
     with pytest.raises(FragmentStoreError, match="line 2: missing field 'file'"):
         load_fragments(tmp_path)
+
+
+def count_parses(monkeypatch) -> list[str]:
+    """Record the text of every fragment file parsed from now on."""
+    parsed: list[str] = []
+    parse = fragments_module.parse_ntriples
+    monkeypatch.setattr(fragments_module, "parse_ntriples",
+                        lambda text: parsed.append(text) or parse(text))
+    return parsed
+
+
+def test_opened_fragments_parse_on_first_use(tmp_path, monkeypatch):
+    frags = fragment_by_cs(random_graph(9))
+    write_fragments(frags, tmp_path)
+    parsed = count_parses(monkeypatch)
+    opened = {f.id: f for f in open_fragments(tmp_path)}
+    assert parsed == []
+    for f in frags:
+        assert opened[f.id].file_digest() == f.file_digest()
+    first = opened[frags[0].id]
+    graph = first.graph()
+    assert first.graph() is graph and first.triples == frags[0].triples
+    assert len(parsed) == 1
+
+
+def test_load_fragments_parses_each_file_once(tmp_path, monkeypatch):
+    write_fragments(fragment_by_cs(random_graph(9)), tmp_path)
+    parsed = count_parses(monkeypatch)
+    loaded = load_fragments(tmp_path)
+    for f in loaded:
+        assert f.graph() is f.graph()
+        assert f.triples == f.graph().triples
+    assert len(parsed) == len(loaded)
+
+
+def test_fragment_file_changed_after_opening(tmp_path):
+    write_fragments(fragment_by_cs(random_graph(9)), tmp_path)
+    f = open_fragments(tmp_path)[0]
+    lines = f.path.read_text(encoding="utf-8").splitlines(keepends=True)
+    f.path.write_text("".join(lines[1:]), encoding="utf-8")
+    with pytest.raises(FragmentStoreError, match="changed after it was first read"):
+        f.graph()

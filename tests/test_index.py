@@ -5,9 +5,9 @@ import pytest
 from helpers import AUTH, NAT, RUNNING_ALLOCATION
 from starbloom.bloom import BloomParams, build_spbf
 from starbloom.fragments import fragment_by_cs
-from starbloom.index import (SPBFIndex, SPBFSlice, UnknownFragmentError, combine,
-                             load_slices, slice_from_bytes, slice_to_bytes,
-                             write_slices)
+from starbloom.index import (SliceStoreError, SPBFIndex, SPBFSlice,
+                             UnknownFragmentError, combine, load_slices,
+                             slice_from_bytes, slice_to_bytes, write_slices)
 from starbloom.model import (KnowledgeGraph, StarPattern, Triple, TriplePattern,
                              Variable, evaluate_bgp, iri)
 
@@ -160,3 +160,27 @@ def test_every_truncated_slice_raises_value_error():
     for cut in range(len(data)):
         with pytest.raises(ValueError):
             slice_from_bytes(data[:cut], expected_params=PARAMS)
+
+
+@pytest.mark.parametrize("broken", [
+    "missing directory", "missing manifest", "missing slice", "truncated slice",
+    "other parameters"])
+def test_load_slices_errors_name_the_path(tmp_path, broken):
+    _, _, index = random_fragment_universe(3)
+    outdir = tmp_path / "slices"
+    write_slices(index.slices.values(), outdir)
+    first = outdir / (min(index.slices) + ".slice")
+    params, named = PARAMS, first
+    if broken == "missing directory":
+        outdir, named = tmp_path / "absent", tmp_path / "absent" / "index.manifest"
+    elif broken == "missing manifest":
+        named = outdir / "index.manifest"
+        named.unlink()
+    elif broken == "missing slice":
+        first.unlink()
+    elif broken == "truncated slice":
+        first.write_bytes(first.read_bytes()[:40])
+    else:
+        params = BloomParams(m=2048, k=3)
+    with pytest.raises(SliceStoreError, match=str(named)):
+        load_slices(outdir, expected_params=params)

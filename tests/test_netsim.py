@@ -3,10 +3,13 @@ from math import ceil
 
 import pytest
 
-from helpers import (build_running_network, create_connected, random_graph,
-                     random_star_query)
+import starbloom.fragments as fragments_module
+import starbloom.netsim as netsim_module
+from helpers import (RUNNING_QUERY, RUNNING_QUERY_DISTINCT,
+                     build_running_network, create_connected, random_graph,
+                     random_network, random_star_query)
 from starbloom.bloom import BloomParams
-from starbloom.fragments import fragment_by_cs
+from starbloom.fragments import fragment_by_cs, write_fragments
 from starbloom.model import (KnowledgeGraph, Triple, bindings_multiset,
                              evaluate_bgp, iri)
 from starbloom.netsim import (MESSAGE_HEADER_BYTES, NetworkConfig,
@@ -14,8 +17,8 @@ from starbloom.netsim import (MESSAGE_HEADER_BYTES, NetworkConfig,
                               dump_network, execute_plan, load_network,
                               measure_relevance, network_from_layout,
                               place_fragments, run_query, upload)
-from starbloom.planner import optimize
-from starbloom.plans import Join, Selection
+from starbloom.planner import explain, optimize
+from starbloom.plans import Join, Selection, plan_fragments
 from starbloom.sparql import parse_query
 
 
@@ -280,3 +283,116 @@ class TestStatePersistence:
             load_network(state)
         with pytest.raises(StateFileError, match="unknown fragments"):
             load_network(state, fragments=[])
+
+
+PREDICATES = [f"http://ex/p{i}" for i in range(5)]
+PERSISTED_CASES = ["running"] + [(seed, min_subjects) for seed in range(4)
+                                 for min_subjects in (1, 3)]
+
+
+def persisted_case(case):
+    """A network placed in process, and queries to run on it: the running
+    example, or a seeded random network merged at ``min_subjects``."""
+    if case == "running":
+        net, _ = build_running_network(m=4096, k=3)
+        return net, [parse_query(RUNNING_QUERY), parse_query(RUNNING_QUERY_DISTINCT)]
+    seed, min_subjects = case
+    rng = random.Random(seed)
+    net = random_network(rng, random_graph(rng, 30, PREDICATES), min_subjects)
+    return net, [random_star_query(rng, PREDICATES) for _ in range(6)]
+
+
+def persist(net, tmp_path):
+    """Write the network's fragments and its state file; return the state path."""
+    frag_dir = tmp_path / "frags"
+    write_fragments(net.fragments.values(), frag_dir)
+    state = tmp_path / "net.json"
+    dump_network(net, state, fragments_dir=frag_dir)
+    return state
+
+
+class TestLoadedNetwork:
+    @pytest.mark.parametrize("case", PERSISTED_CASES, ids=lambda case: (
+        case if case == "running" else f"seed{case[0]}-merge{case[1]}"))
+    def test_same_indexes_plans_rows_and_bytes(self, tmp_path, monkeypatch, case):
+        net, queries = persisted_case(case)
+        state = persist(net, tmp_path)
+
+        def no_build(*args):
+            raise AssertionError("load_network built a filter")
+
+        monkeypatch.setattr(netsim_module, "build_spbf", no_build)
+        loaded = load_network(state)
+        assert loaded.allocation == net.allocation
+        for nid in net.node_ids():
+            assert loaded.node(nid).index == net.node(nid).index
+        origin = net.node_ids()[0]
+        for query in queries:
+            rows, metrics, result = run_query(net, query, origin)
+            rows2, metrics2, result2 = run_query(loaded, query, origin)
+            assert rows2 == rows
+            assert explain(result2) == explain(result)
+            for name in ("requests", "transferred_bytes", "relevant_fragments",
+                         "relevant_nodes"):
+                assert getattr(metrics2, name) == getattr(metrics, name)
+        assert {fid: f.triples for fid, f in loaded.fragments.items()} == \
+               {fid: f.triples for fid, f in net.fragments.items()}
+
+    def test_one_star_query_parses_only_executed_fragments(self, tmp_path, monkeypatch):
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        parsed = []
+        parse = fragments_module.parse_ntriples
+        monkeypatch.setattr(fragments_module, "parse_ntriples",
+                            lambda text: parsed.append(text) or parse(text))
+        loaded = load_network(state)
+        assert parsed == []
+        q = parse_query(
+            "PREFIX dbo: <http://dbpedia.org/ontology/> "
+            "SELECT * WHERE { ?publication dbo:publisher ?x . ?publication dbo:language ?y . }")
+        rows, _, result = run_query(loaded, q, "n1")
+        assert len(parsed) == len(plan_fragments(result.plan)) == 1
+        assert len(loaded.fragments) == 5
+        run_query(loaded, q, "n1")
+        assert len(parsed) == 1  # the parsed graph is kept
+        assert bindings_multiset(rows) == bindings_multiset(run_query(net, q, "n1")[0])
+
+    def test_edited_fragment_file_is_a_state_error(self, tmp_path):
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        path = tmp_path / "frags" / (min(net.fragments) + ".nt")
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")  # still valid N-Triples
+        with pytest.raises(StateFileError, match=path.name):
+            load_network(state)
+
+    def test_state_without_slices_asks_to_recreate(self, tmp_path):
+        import json
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        data = json.loads(state.read_text(encoding="utf-8"))
+        del data["slices_dir"]
+        state.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(StateFileError, match="network create"):
+            load_network(state)
+
+    def test_allocation_differing_from_slices_is_a_state_error(self, tmp_path):
+        import json
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        data = json.loads(state.read_text(encoding="utf-8"))
+        fid = min(data["allocation"])
+        data["allocation"][fid] = ["n1"]
+        state.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(StateFileError, match="do not match"):
+            load_network(state)
+
+    def test_allocation_breaking_replication_is_a_state_error(self, tmp_path):
+        import json
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        data = json.loads(state.read_text(encoding="utf-8"))
+        data["config"]["replication_factor"] = 1
+        state.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(StateFileError, match="needs exactly 1 holders"):
+            load_network(state)
