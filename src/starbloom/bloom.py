@@ -47,6 +47,15 @@ class BloomParams:
         return [(h1 + i * h2) % self.m for i in range(self.k)]
 
 
+def ordered_sum(values: Iterable[float]) -> float:
+    """Left-to-right float total. From Python 3.12 on, ``sum()`` compensates
+    float rounding, so estimates added with it would differ between versions."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _estimate_partition(set_bits: int, m: int, k: int) -> float:
     if set_bits <= 0:
         return 0.0
@@ -122,8 +131,8 @@ class PartitionedBitvector:
         """Estimated number of distinct inserted values, summed over partitions."""
         if self._estimate is None:
             m, k = self.params.m, self.params.k
-            self._estimate = sum(_estimate_partition(bits.bit_count(), m, k)
-                                 for bits in self.partitions.values())
+            self._estimate = ordered_sum(_estimate_partition(bits.bit_count(), m, k)
+                                         for bits in self.partitions.values())
         return self._estimate
 
     def __eq__(self, other: object) -> bool:

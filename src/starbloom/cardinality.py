@@ -6,11 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
-from .bloom import SPBF, Summary
+from .bloom import SPBF, Summary, ordered_sum
 from .index import SPBFIndex
 from .model import StarPattern, Term, Variable
 from .plans import (Cartesian, EmptyPlan, Join, MalformedPlanError, Plan,
-                    Selection, Union_, branches_of, iter_selections,
+                    Selection, Union_, branches_of, iter_selections, plan_stars,
                     right_selections, star_fragments)
 
 
@@ -70,7 +70,8 @@ def _predicate_ratios(star: StarPattern, spbf: SPBF, skip: frozenset[str] = froz
         else:
             # variable predicate: average occurrences over the whole predicate set
             if spbf.predicates:
-                mean = sum(_est(spbf.objects[p]) for p in spbf.predicates) / len(spbf.predicates)
+                mean = (ordered_sum(_est(spbf.objects[p]) for p in spbf.predicates)
+                        / len(spbf.predicates))
             else:
                 mean = 0.0
             factor *= _ratio(mean, subj)
@@ -91,8 +92,8 @@ def card_star(star: StarPattern, spbf: SPBF, distinct: bool) -> float:
 
 def card_star_indexed(star: StarPattern, index: SPBFIndex, distinct: bool) -> float:
     """Aggregated star estimate over every relevant fragment in the index."""
-    return sum(card_star(star, index.spbf(fid), distinct)
-               for fid in index.relevant_fragments(star))
+    return ordered_sum(card_star(star, index.spbf(fid), distinct)
+                       for fid in index.relevant_fragments(star))
 
 
 def _join_predicate(star_k: StarPattern, star_l: StarPattern) -> Optional[str]:
@@ -167,9 +168,8 @@ def join_selectivity(branch: Plan, star: StarPattern, fragment: str,
     """
     spbf_r = ctx.spbfs[fragment]
     by_star = star_fragments(branch)
-    stars = {sel.star.key: sel.star for sel in _branch_selections(branch)}
     best: Optional[float] = None
-    for key, left_star in sorted(stars.items()):
+    for key, left_star in sorted(plan_stars(branch).items()):
         shared = sorted(left_star.variables() & star.variables())
         if not shared:
             continue
@@ -192,10 +192,6 @@ def join_selectivity(branch: Plan, star: StarPattern, fragment: str,
     return best if best is not None else 0.0
 
 
-def _branch_selections(plan: Plan):
-    return list(iter_selections(plan))
-
-
 def card_join_with_selection(branch: Plan, star: StarPattern, fragment: str,
                              ctx: PlanContext, distinct: Optional[bool] = None) -> float:
     """Cardinality of (branch JOIN selection) for one right-side fragment."""
@@ -207,7 +203,7 @@ def card_join_with_selection(branch: Plan, star: StarPattern, fragment: str,
         return card
     # duplicate factors for right-side patterns that do not join the branch
     join_vars = frozenset(
-        v for sel in _branch_selections(branch)
+        v for sel in iter_selections(branch)
         for v in sel.star.variables() & star.variables())
     spbf_r = ctx.spbfs[fragment]
     card *= _predicate_ratios(star, spbf_r, skip_join_objects=True, join_vars=join_vars)
@@ -233,7 +229,7 @@ def _estimate_plan(plan: Plan, ctx: PlanContext, distinct: bool) -> float:
     if isinstance(plan, Selection):
         return card_star(plan.star, ctx.spbfs[plan.fragment], distinct)
     if isinstance(plan, Union_):
-        return sum(_card_plan(b, ctx, distinct) for b in plan.branches)
+        return ordered_sum(_card_plan(b, ctx, distinct) for b in plan.branches)
     if isinstance(plan, Cartesian):
         return _card_plan(plan.left, ctx, distinct) * _card_plan(plan.right, ctx, distinct)
     if isinstance(plan, Join):

@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from .bloom import BloomParams, build_spbf
@@ -29,11 +28,20 @@ class DataError(RuntimeError):
     pass
 
 
+def _read_text(path: Path) -> str:
+    """An input file's UTF-8 text; a file that cannot be read or decoded is a
+    data error naming its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e.strerror or e}") from e
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path} is not UTF-8 text: {e}") from e
+
+
 def _read_graph(path: Path):
     try:
-        return parse_ntriples(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
+        return parse_ntriples(_read_text(path))
     except NTriplesError as e:
         raise DataError(f"{path}: {e}") from e
 
@@ -79,10 +87,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 def _read_holders(path: Path) -> dict[str, list[str]]:
     """A JSON object mapping fragment ids to non-empty lists of node ids."""
     try:
-        holders = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as e:
-        raise DataError(f"cannot read holders file {path}: {e.strerror}") from e
-    except ValueError as e:  # bad JSON or not UTF-8
+        holders = json.loads(_read_text(path))
+    except ValueError as e:
         raise DataError(f"holders file {path} is not JSON: {e}") from e
     if not (isinstance(holders, dict) and all(
             isinstance(hs, list) and hs and all(isinstance(h, str) for h in hs)
@@ -127,13 +133,6 @@ def cmd_network_load(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_query(path: Path):
-    try:
-        return parse_query(Path(path).read_text(encoding="utf-8"))
-    except FileNotFoundError as e:
-        raise DataError(f"cannot read {path}: {e}") from e
-
-
 def _canonical_rows(rows) -> str:
     variables = sorted({v for row in rows for v in row})
     lines = ["\t".join(f"?{v}" for v in variables)]
@@ -146,7 +145,7 @@ def _canonical_rows(rows) -> str:
 
 
 def _run(args: argparse.Namespace, execute: bool) -> int:
-    query = _load_query(args.query)
+    query = parse_query(_read_text(args.query))
     net = load_network(Path(args.state))
     if args.node not in net.nodes:
         raise DataError(f"unknown node {args.node}")
@@ -154,9 +153,7 @@ def _run(args: argparse.Namespace, execute: bool) -> int:
         rows, metrics, result = run_query(net, query, args.node)
     else:
         from .planner import optimize
-        start = time.perf_counter_ns()
         result = optimize(query, net.node(args.node).index, args.node)
-        opt_ns = time.perf_counter_ns() - start
         rows, metrics = None, None
     if getattr(args, "explain", False) or not execute:
         sys.stdout.write(explain(result))

@@ -6,12 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from .bloom import ordered_sum
 from .cardinality import (PlanContext, card_join_with_selection, card_plan,
                           card_star, position_summary)
 from .index import SPBFIndex
 from .model import Query, StarPattern, star_decompose
 from .plans import (Cartesian, EmptyPlan, Join, MalformedPlanError, Plan,
-                    Selection, Union_, branches_of, right_selections, union_of)
+                    Selection, Union_, branches_of, plan_stars, right_selections,
+                    star_fragments, union_of)
 
 
 def node_sort_key(node_id: str) -> tuple:
@@ -79,7 +81,7 @@ def compatibility_graph(query_or_stars, index: SPBFIndex,
     relevant = {st.key: tuple(index.relevant_fragments(st)) for st in stars}
 
     def estimated(st: StarPattern) -> float:
-        return sum(card_star(st, index.spbf(fid), distinct) for fid in relevant[st.key])
+        return ordered_sum(card_star(st, index.spbf(fid), distinct) for fid in relevant[st.key])
 
     def build_branch(remaining: list[StarPattern], fid: str,
                      star: StarPattern) -> tuple[set[str], set[tuple[str, str]]]:
@@ -144,36 +146,37 @@ def compatibility_graph(query_or_stars, index: SPBFIndex,
 # -- transfer cost -------------------------------------------------------------
 
 
+def operator_transfer(op: Plan, left_cost: float, ctx: PlanContext) -> float:
+    """Transfer inside one join or product at its delegate ``op.node``, given
+    ``left_cost``, the cost of bringing its left operand there. A bind join
+    fans the left operand out once per right-side fragment and ships back the
+    output (duplicates included) joined against each remote right selection;
+    a product ships in each remote right selection."""
+    sels = right_selections(op.right)
+    if isinstance(op, Cartesian):
+        return left_cost + ordered_sum(card_plan(s, ctx) for s in sels if s.node != op.node)
+    total = left_cost * len(sels)
+    for sel in sels:
+        if sel.node != op.node:
+            for b in branches_of(op.left):
+                total += card_join_with_selection(b, sel.star, sel.fragment, ctx,
+                                                  distinct=False)
+    return total
+
+
 def transfer_cost(plan: Plan, node: str, ctx: PlanContext) -> float:
     """Estimated intermediate results crossing node boundaries when ``node``
-    consumes the plan. Local selections are free; a join pays for its left
-    operand at the join's delegate (once per right-side fragment), for join
-    output produced against a remote right selection, and for its own output
-    when delegated away from the consumer."""
+    consumes the plan. Local selections are free; a join or product pays its
+    ``operator_transfer``, plus its own output when delegated away from the
+    consumer."""
     if isinstance(plan, EmptyPlan):
         return 0.0
     if isinstance(plan, Selection):
         return card_plan(plan, ctx) if node != plan.node else 0.0
     if isinstance(plan, Union_):
-        return sum(transfer_cost(b, node, ctx) for b in plan.branches)
-    if isinstance(plan, Cartesian):
-        total = transfer_cost(plan.left, plan.node, ctx) + transfer_cost(plan.right, plan.node, ctx)
-        if plan.node != node:
-            total += card_plan(plan, ctx)
-        return total
-    if isinstance(plan, Join):
-        sels = right_selections(plan.right)
-        if len(sels) > 1:
-            # a union on the right is costed branch-wise
-            return sum(transfer_cost(Join(plan.left, sel, plan.node), node, ctx)
-                       for sel in sels)
-        sel = sels[0]
-        total = transfer_cost(plan.left, plan.node, ctx)
-        if sel.node != plan.node:
-            # output joined against a remote selection ships back, duplicates included
-            for b in branches_of(plan.left):
-                total += card_join_with_selection(b, sel.star, sel.fragment, ctx,
-                                                  distinct=False)
+        return ordered_sum(transfer_cost(b, node, ctx) for b in plan.branches)
+    if isinstance(plan, (Join, Cartesian)):
+        total = operator_transfer(plan, transfer_cost(plan.left, plan.node, ctx), ctx)
         if node != plan.node:
             total += card_plan(plan, ctx)
         return total
@@ -266,49 +269,27 @@ def _chain_order(stars: list[StarPattern], cards: dict[str, float]) -> list[tupl
     return order
 
 
-class _SelShape:
-    __slots__ = ("star", "fragment")
-
-    def __init__(self, star: StarPattern, fragment: str):
-        self.star = star
-        self.fragment = fragment
-
-
-class _OpShape:
-    __slots__ = ("kind", "left", "right")
-
-    def __init__(self, kind: str, left: list, right: tuple[_SelShape, ...]):
-        self.kind = kind  # "join" | "cartesian"
-        self.left = left  # branch shapes of the left operand
-        self.right = right
+def placed_selection(star: StarPattern, fid: str, index: SPBFIndex, origin: str) -> Selection:
+    """Selections sit at the origin when it holds the fragment, otherwise at
+    the lowest-id holder; placement does not chase join delegates."""
+    holders = index.holders(fid)
+    return Selection(star, fid, origin if origin in holders else min(holders, key=node_sort_key))
 
 
-def _branch_star_fragments(shape) -> dict[str, set[str]]:
-    if isinstance(shape, _SelShape):
-        return {shape.star.key: {shape.fragment}}
-    out: dict[str, set[str]] = {}
-    for b in shape.left:
-        for k, v in _branch_star_fragments(b).items():
-            out.setdefault(k, set()).update(v)
-    for sel in shape.right:
-        out.setdefault(sel.star.key, set()).add(sel.fragment)
-    return out
-
-
-def _branch_stars(shape) -> dict[str, StarPattern]:
-    if isinstance(shape, _SelShape):
-        return {shape.star.key: shape.star}
-    out: dict[str, StarPattern] = {}
-    for b in shape.left:
-        out.update(_branch_stars(b))
-    for sel in shape.right:
-        out[sel.star.key] = sel.star
-    return out
+def _deliver(options: dict[str, tuple[float, Plan]], card: float,
+             target: str) -> tuple[float, Plan]:
+    """The cheapest of a subtree's delegate options for consumption at
+    ``target``: its internal transfer plus its output if shipped there."""
+    def shipped(node: str) -> float:
+        return options[node][0] + (card if node != target else 0.0)
+    best = min(options, key=lambda n: (shipped(n), n != target, node_sort_key(n)))
+    return shipped(best), options[best][1]
 
 
 class _Planner:
-    """Assembles branch-grouped plan skeletons and assigns delegation nodes by
-    dynamic programming over candidate nodes per operator."""
+    """Builds branch-grouped plan skeletons, every operator delegated to the
+    origin, and reassigns delegates by dynamic programming over candidate
+    nodes per operator."""
 
     def __init__(self, compat: CompatibilityGraph, index: SPBFIndex,
                  ctx: PlanContext, origin: str):
@@ -318,137 +299,71 @@ class _Planner:
         self.origin = origin
         self.stars = {st.key: st for st in compat.stars}
         self.cards = {
-            key: sum(card_star(st, ctx.spbfs[fid], ctx.distinct)
-                     for fid in compat.star_fragments[key])
+            key: ordered_sum(card_star(st, ctx.spbfs[fid], ctx.distinct)
+                             for fid in compat.star_fragments[key])
             for key, st in self.stars.items()
         }
 
-    def single_star_shapes(self, star: StarPattern) -> list:
-        return [_SelShape(star, fid) for fid in self.compat.star_fragments[star.key]]
+    def selections(self, star: StarPattern, fids: Iterable[str]) -> list[Selection]:
+        return [placed_selection(star, fid, self.index, self.origin) for fid in fids]
 
-    def _compatible_fragments(self, branch, star: StarPattern, cartesian: bool) -> tuple[str, ...]:
+    def _compatible_fragments(self, branch: Plan, star: StarPattern,
+                              cartesian: bool) -> tuple[str, ...]:
         candidates = self.compat.star_fragments[star.key]
         if cartesian:
             return tuple(candidates)
-        frags_by_star = _branch_star_fragments(branch)
-        linked = [k for k, st in _branch_stars(branch).items() if _vars_overlap(st, star)]
-        out = []
-        for fid in candidates:
-            if all(any(self.compat.joins(fid, f) for f in frags_by_star.get(key, ()))
-                   for key in linked):
-                out.append(fid)
-        return tuple(out)
+        frags_by_star = star_fragments(branch)
+        linked = [k for k, st in plan_stars(branch).items() if _vars_overlap(st, star)]
+        return tuple(fid for fid in candidates
+                     if all(any(self.compat.joins(fid, f) for f in frags_by_star[key])
+                            for key in linked))
 
-    def extend(self, branches: list, star: StarPattern, cartesian: bool) -> list:
+    def extend(self, branches: list[Plan], star: StarPattern, cartesian: bool) -> list[Plan]:
         """Join (or cross) a new star onto each surviving branch; branches with
         the same compatible right-fragment set share one operator."""
-        groups: dict[tuple[str, ...], list] = {}
+        groups: dict[tuple[str, ...], list[Plan]] = {}
         for b in branches:
             rset = self._compatible_fragments(b, star, cartesian)
             if not rset:
                 continue  # provably joins nothing; prune the branch
             groups.setdefault(rset, []).append(b)
-        kind = "cartesian" if cartesian else "join"
-        return [_OpShape(kind, groups[rset], tuple(_SelShape(star, fid) for fid in rset))
+        op = Cartesian if cartesian else Join
+        return [op(union_of(groups[rset]), union_of(self.selections(star, rset)), self.origin)
                 for rset in sorted(groups)]
 
-    # ---- delegate assignment
-
-    def _holders(self, fid: str) -> tuple[str, ...]:
-        return tuple(sorted(self.index.holders(fid), key=node_sort_key))
-
-    def _placement(self, fid: str) -> str:
-        # selections sit at the origin when it holds the fragment, otherwise
-        # at the lowest-id holder; placement does not chase join delegates
-        holders = self._holders(fid)
-        return self.origin if self.origin in holders else holders[0]
-
-    def shape_card(self, shape) -> float:
-        return card_plan(self._materialize_default(shape), self.ctx)
-
-    def _materialize_default(self, shape) -> Plan:
-        if isinstance(shape, _SelShape):
-            return Selection(shape.star, shape.fragment, self._placement(shape.fragment))
-        left = union_of([self._materialize_default(b) for b in shape.left])
-        right = union_of([Selection(s.star, s.fragment, self._placement(s.fragment))
-                          for s in shape.right])
-        op = Join if shape.kind == "join" else Cartesian
-        return op(left, right, self.origin)
-
-    def assign(self, shape) -> dict[str, tuple[float, Plan]]:
+    def assign(self, plan: Plan) -> dict[str, tuple[float, Plan]]:
         """Per candidate delegate: cheapest transfer cost incurred inside the
         subtree (shipping to the delegate not included) and the plan that
         realizes it."""
-        if isinstance(shape, _SelShape):
-            placed = self._placement(shape.fragment)
-            return {placed: (0.0, Selection(shape.star, shape.fragment, placed))}
-
-        right_holders = [h for sel in shape.right for h in self._holders(sel.fragment)]
-        candidates = sorted(set(right_holders) | {self.origin},
+        if isinstance(plan, Selection):
+            return {plan.node: (0.0, plan)}
+        sels = right_selections(plan.right)
+        right_holders = {h for sel in sels for h in self.index.holders(sel.fragment)}
+        candidates = sorted(right_holders | {self.origin},
                             key=lambda n: (n != self.origin, node_sort_key(n)))
-
-        child_options = [self.assign(b) for b in shape.left]
-        child_cards = [self.shape_card(b) for b in shape.left]
-
+        children = [(self.assign(b), card_plan(b, self.ctx)) for b in branches_of(plan.left)]
         out: dict[str, tuple[float, Plan]] = {}
         for d in candidates:
             left_cost = 0.0
             left_plans: list[Plan] = []
-            for options, child_card in zip(child_options, child_cards):
-                best_rank: Optional[tuple] = None
-                best_node = None
-                for cd, (ccost, _) in options.items():
-                    val = ccost + (child_card if cd != d else 0.0)
-                    rank = (val, cd != d, node_sort_key(cd))
-                    if best_rank is None or rank < best_rank:
-                        best_rank, best_node = rank, cd
-                left_cost += best_rank[0]
-                left_plans.append(options[best_node][1])
-            left_plan = union_of(left_plans)
-
-            right_sels = [Selection(s.star, s.fragment, self._placement(s.fragment))
-                          for s in shape.right]
-            right_plan = union_of(right_sels)
-            if shape.kind == "join":
-                # bind joins fan the left out once per right-side fragment
-                total = left_cost * len(right_sels)
-                for sel in right_sels:
-                    if sel.node != d:
-                        for b in branches_of(left_plan):
-                            total += card_join_with_selection(
-                                b, sel.star, sel.fragment, self.ctx, distinct=False)
-                plan: Plan = Join(left_plan, right_plan, d)
-            else:
-                total = left_cost
-                total += sum(card_plan(s, self.ctx) for s in right_sels if s.node != d)
-                plan = Cartesian(left_plan, right_plan, d)
-            out[d] = (total, plan)
+            for options, card in children:
+                val, child = _deliver(options, card, d)
+                left_cost += val
+                left_plans.append(child)
+            delegated = type(plan)(union_of(left_plans), plan.right, d)
+            out[d] = (operator_transfer(delegated, left_cost, self.ctx), delegated)
         return out
-
-    def best_plan(self, shapes: list) -> Plan:
-        """Choose delegates minimizing transfer into the origin, branch by branch."""
-        chosen: list[Plan] = []
-        for shape in shapes:
-            options = self.assign(shape)
-            card = self.shape_card(shape)
-            best_rank: Optional[tuple] = None
-            best_plan: Optional[Plan] = None
-            for d, (internal, plan) in options.items():
-                val = internal + (card if d != self.origin else 0.0)
-                rank = (val, d != self.origin, node_sort_key(d))
-                if best_rank is None or rank < best_rank:
-                    best_rank, best_plan = rank, plan
-            chosen.append(best_plan)
-        return union_of(chosen)
 
     def subquery(self, subset: frozenset[str]) -> DPEntry:
         """Plan one star subset on its own: greedy order, branch grouping,
-        then delegation."""
+        then delegates minimizing transfer into the origin, branch by branch."""
         order = _chain_order([self.stars[k] for k in sorted(subset)], self.cards)
-        shapes = self.single_star_shapes(order[0][0])
+        first = order[0][0]
+        branches: list[Plan] = self.selections(first, self.compat.star_fragments[first.key])
         for st, cartesian in order[1:]:
-            shapes = self.extend(shapes, st, cartesian)
-        plan = self.best_plan(shapes) if shapes else EmptyPlan()
+            branches = self.extend(branches, st, cartesian)
+        plan = union_of([_deliver(self.assign(b), card_plan(b, self.ctx), self.origin)[1]
+                         for b in branches])
         plan_cost = cost(plan, self.origin, self.ctx)
         return DPEntry(
             stars=subset,
@@ -502,19 +417,17 @@ def baseline_plan(query: Query, index: SPBFIndex, origin: str) -> tuple[Plan, Pl
     if any(not fids for fids in relevant.values()):
         return EmptyPlan(), ctx
 
-    def sel(star: StarPattern, fid: str) -> Selection:
-        holders = sorted(index.holders(fid), key=node_sort_key)
-        return Selection(star, fid, origin if origin in holders else holders[0])
+    def right(star: StarPattern) -> Plan:
+        return union_of([placed_selection(star, fid, index, origin) for fid in relevant[star.key]])
 
     cards = {
-        st.key: sum(card_star(st, spbfs[fid], query.distinct) for fid in relevant[st.key])
+        st.key: ordered_sum(card_star(st, spbfs[fid], query.distinct) for fid in relevant[st.key])
         for st in stars
     }
     order = _chain_order(stars, cards)
-    plan: Plan = union_of([sel(order[0][0], fid) for fid in relevant[order[0][0].key]])
+    plan = right(order[0][0])
     for st, cartesian in order[1:]:
-        right = union_of([sel(st, fid) for fid in relevant[st.key]])
-        plan = Cartesian(plan, right, origin) if cartesian else Join(plan, right, origin)
+        plan = Cartesian(plan, right(st), origin) if cartesian else Join(plan, right(st), origin)
     return plan, ctx
 
 

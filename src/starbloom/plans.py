@@ -117,23 +117,6 @@ def plan_stars(plan: Plan) -> dict[str, StarPattern]:
     return {sel.star.key: sel.star for sel in iter_selections(plan)}
 
 
-def validate_left_deep(plan: Plan) -> None:
-    """Raise MalformedPlanError unless the plan obeys the left-deep shape."""
-    if isinstance(plan, (Selection, EmptyPlan)):
-        return
-    if isinstance(plan, Union_):
-        for b in plan.branches:
-            validate_left_deep(b)
-        return
-    if isinstance(plan, (Join, Cartesian)):
-        for b in branches_of(plan.right):
-            if not isinstance(b, Selection):
-                raise MalformedPlanError("right side of a join/product must be selections only")
-        validate_left_deep(plan.left)
-        return
-    raise MalformedPlanError(f"unknown plan node {type(plan).__name__}")
-
-
 def render_plan(plan: Plan) -> str:
     """Compact single-line rendering, used in plan fingerprints and messages."""
     if isinstance(plan, EmptyPlan):

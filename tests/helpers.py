@@ -8,15 +8,16 @@ import random
 from typing import Optional
 
 from starbloom.bloom import BloomParams, ExactBitset, SPBF
-from starbloom.cardinality import PlanContext, card_star
+from starbloom.cardinality import PlanContext
 from starbloom.fragments import fragment_by_cs
 from starbloom.index import SPBFIndex, SPBFSlice
 from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple,
-                             Variable, _match_pattern, iri, star_decompose)
+                             TriplePattern, Variable, _match_pattern, iri,
+                             star_decompose)
 from starbloom.netsim import Network, NetworkConfig, network_from_layout, place_fragments
 from starbloom.ntriples import parse_ntriples
-from starbloom.planner import (DPEntry, OptimizeResult, _chain_order, _Planner,
-                               compatibility_graph, cost)
+from starbloom.planner import (DPEntry, OptimizeResult, _Planner,
+                               compatibility_graph)
 from starbloom.plans import EmptyPlan
 from starbloom.sparql import parse_query
 
@@ -239,29 +240,10 @@ def reference_optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeR
         return OptimizeResult(EmptyPlan(), table, compat, ctx, origin)
 
     planner = _Planner(compat, index, ctx, origin)
-    cards = {
-        st.key: sum(card_star(st, spbfs[fid], query.distinct)
-                    for fid in compat.star_fragments[st.key])
-        for st in stars
-    }
-    by_key = {st.key: st for st in stars}
     keys = [st.key for st in stars]
     for size in range(1, len(keys) + 1):
         for subset in itertools.combinations(keys, size):
-            order = _chain_order([by_key[k] for k in sorted(subset)], cards)
-            shapes = planner.single_star_shapes(order[0][0])
-            for st, cartesian in order[1:]:
-                shapes = planner.extend(shapes, st, cartesian)
-            plan = planner.best_plan(shapes) if shapes else EmptyPlan()
-            plan_cost = cost(plan, origin, ctx)
-            table[frozenset(subset)] = DPEntry(
-                stars=frozenset(subset),
-                order=tuple(st.key for st, _ in order),
-                plan=plan,
-                cardinality=plan_cost.cardinality,
-                transfer=plan_cost.transfer,
-                cost=plan_cost.total,
-            )
+            table[frozenset(subset)] = planner.subquery(frozenset(subset))
     final = table[frozenset(keys)].plan
     return OptimizeResult(final, table, compat, ctx, origin)
 
@@ -299,8 +281,24 @@ def random_star_query(rng: random.Random, predicates: list[str], max_stars: int 
             patterns.append((subject, iri(rng.choice(predicates)), obj))
             link = obj
         subject = link
-    from starbloom.model import TriplePattern
     return Query(bgp=tuple(TriplePattern(*t) for t in patterns), distinct=rng.random() < 0.3)
+
+
+def random_components_query(rng: random.Random, preds: list[str]) -> Query:
+    """1-5 stars; each star after the first either takes an earlier star's
+    object variable as its subject or starts a new Cartesian component."""
+    patterns = []
+    links: list[Variable] = []
+    for i in range(rng.randint(1, 5)):
+        if links and rng.random() < 0.7:
+            subject = links.pop(rng.randrange(len(links)))
+        else:
+            subject = Variable(f"s{i}")
+        for j in range(rng.randint(1, 2)):
+            obj = Variable(f"o{i}_{j}")
+            patterns.append(TriplePattern(subject, iri(rng.choice(preds)), obj))
+            links.append(obj)
+    return Query(bgp=tuple(patterns), distinct=rng.random() < 0.5)
 
 
 def random_network(rng: random.Random, graph, min_subjects: int = 1) -> Network:

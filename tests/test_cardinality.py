@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from helpers import AUTH, NAT, exact_running_spbfs
+from starbloom.bloom import SPBF, ExactBitset, ordered_sum
 from starbloom.cardinality import (IrrelevantFragmentError, JoinShapeError,
                                    PlanContext, card_join_indexed,
                                    card_join_pair, card_plan, card_star,
@@ -8,6 +11,7 @@ from starbloom.cardinality import (IrrelevantFragmentError, JoinShapeError,
 from starbloom.fragments import fragment_by_cs
 from starbloom.model import (KnowledgeGraph, StarPattern, Triple, TriplePattern,
                              Variable, iri)
+from starbloom.planner import transfer_cost
 from starbloom.plans import Cartesian, Join, Selection, Union_
 
 EXACT = pytest.approx  # exact-backend assertions allow only float epsilon
@@ -189,3 +193,38 @@ class TestExactBackendParity:
                     assert bag >= distinct * (1 - 0.02)
                     checked += 1
         assert checked >= 1
+
+
+class TestLeftToRightTotals:
+    """Estimates add left to right, as ``sum()`` did before Python 3.12; its
+    compensated summation from 3.12 on would change estimates, and with them
+    join orders, between Python versions."""
+
+    P, Q = "http://ex/p", "http://ex/q"
+
+    @pytest.fixture
+    def tenths(self):
+        # each fragment: 10 subjects, one object per predicate, so a
+        # two-pattern star estimates 10 * (1/10) * (1/10) rows
+        spbfs = {f"g{i}": SPBF((self.P, self.Q), ExactBitset(f"s{j}" for j in range(10)),
+                               {self.P: ExactBitset({"a"}), self.Q: ExactBitset({"b"})})
+                 for i in range(10)}
+        s = Variable("s")
+        star = StarPattern(s, (TriplePattern(s, iri(self.P), Variable("a")),
+                               TriplePattern(s, iri(self.Q), Variable("b"))))
+        union = Union_(tuple(Selection(star, fid, "n2") for fid in sorted(spbfs)))
+        return union, PlanContext(spbfs=spbfs)
+
+    def test_ordered_sum(self):
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        assert ordered_sum([]) == 0.0
+
+    def test_union_cardinality_and_transfer(self, tenths):
+        union, ctx = tenths
+        cards = [card_plan(b, ctx) for b in union.branches]
+        expected = 0.0
+        for c in cards:
+            expected += c
+        assert expected != math.fsum(cards)  # the instance tells the two apart
+        assert card_plan(union, ctx) == expected
+        assert transfer_cost(union, "n1", ctx) == expected

@@ -124,6 +124,23 @@ class TestFragmentCommand:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
+@pytest.mark.parametrize("command", ["fragment", "query"])
+@pytest.mark.parametrize("bad", ["directory", "not utf-8"])
+def test_unreadable_input_exit_code(tmp_path, command, bad):
+    path = tmp_path / "input"
+    if bad == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    args = ([str(path), str(tmp_path / "out")] if command == "fragment" else
+            [str(path), "--state", str(tmp_path / "state.json"), "--node", "n1"])
+    proc = run_cli_subprocess([command, *args])
+    assert proc.returncode == EXIT_DATA
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert str(path) in proc.stderr
+
+
 class TestIndexCommand:
     def test_build_slices(self, workspace, capsys):
         tmp_path, data, _ = workspace

@@ -4,10 +4,11 @@ import time
 
 import pytest
 
-from helpers import (build_running_network, exact_running_index, random_graph,
+from helpers import (build_running_network, exact_running_index,
+                     random_components_query as _random_query, random_graph,
                      random_network, random_star_query, reference_optimize)
 from starbloom.cardinality import PlanContext
-from starbloom.model import Query, TriplePattern, Variable, iri, star_decompose
+from starbloom.model import star_decompose
 from starbloom.planner import (compatibility_graph, cost, explain,
                                node_sort_key, optimize, transfer_cost)
 from starbloom.plans import (Cartesian, EmptyPlan, Join, Selection, Union_,
@@ -212,23 +213,6 @@ class TestLazyTable:
         with pytest.raises(KeyError):
             result.entry("?s")
         assert "-- subqueries --" not in explain(result)
-
-
-def _random_query(rng: random.Random, preds: list[str]) -> Query:
-    """1-5 stars; each star after the first either takes an earlier star's
-    object variable as its subject or starts a new Cartesian component."""
-    patterns = []
-    links: list[Variable] = []
-    for i in range(rng.randint(1, 5)):
-        if links and rng.random() < 0.7:
-            subject = links.pop(rng.randrange(len(links)))
-        else:
-            subject = Variable(f"s{i}")
-        for j in range(rng.randint(1, 2)):
-            obj = Variable(f"o{i}_{j}")
-            patterns.append(TriplePattern(subject, iri(rng.choice(preds)), obj))
-            links.append(obj)
-    return Query(bgp=tuple(patterns), distinct=rng.random() < 0.5)
 
 
 def _components(stars) -> int:
