@@ -145,7 +145,11 @@ def _canonical_rows(rows) -> str:
 
 
 def _run(args: argparse.Namespace, execute: bool) -> int:
-    query = parse_query(_read_text(args.query))
+    try:
+        query = parse_query(_read_text(args.query))
+    except QueryParseError as e:  # name the file, as N-Triples errors do
+        e.args = (f"{args.query}:{e}",)
+        raise
     net = load_network(Path(args.state))
     if args.node not in net.nodes:
         raise DataError(f"unknown node {args.node}")

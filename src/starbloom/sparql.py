@@ -6,8 +6,8 @@ from __future__ import annotations
 import re
 from typing import Optional
 
-from .model import (LITERAL_UNESCAPES, PatternTerm, Query, Term, TriplePattern,
-                    Variable, iri, literal)
+from .model import PatternTerm, Query, TriplePattern, Variable, iri, literal
+from .ntriples import IRI_PATTERN, LITERAL_PATTERN, parse_term
 
 XSD_INTEGER = "http://www.w3.org/2001/XMLSchema#integer"
 XSD_DECIMAL = "http://www.w3.org/2001/XMLSchema#decimal"
@@ -21,49 +21,64 @@ UNSUPPORTED_KEYWORDS = {
 
 
 class QueryParseError(ValueError):
-    pass
+    """A malformed query; ``line`` and ``column`` (1-based) locate the
+    offending token, found at ``offset`` in the query ``text``."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.column = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"{self.line}:{self.column}: {message}")
 
 
 class UnsupportedFeatureError(QueryParseError):
-    def __init__(self, keyword: str):
-        super().__init__(f"unsupported feature: {keyword}")
+    def __init__(self, keyword: str, text: str, offset: int):
+        super().__init__(f"unsupported feature: {keyword}", text, offset)
         self.keyword = keyword
 
 
 _TOKEN = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<iri><[^<>\s]*>)
-  | (?P<literal>"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^<[^<>\s]*>)?)
+    rf"""
+    (?P<skip>\s+|\#[^\n]*)
+  | (?P<iri>{IRI_PATTERN})
+  | (?P<literal>{LITERAL_PATTERN})
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>[+-]?\d+(?:\.\d+)?)
   | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_.\-]*)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[{}.*;,])
+  | (?P<punct>[{{}}.*;,])
     """,
     re.VERBOSE,
 )
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise QueryParseError(f"cannot tokenize query near {text[pos:pos + 20]!r}")
-        pos = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        tokens.append(m.group())
-    return tokens
-
-
 class _Tokens:
-    def __init__(self, tokens: list[str]):
-        self.tokens = tokens
+    """The query's tokens, without whitespace and comments, and where each starts."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens: list[str] = []
+        self.offsets: list[int] = []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise QueryParseError(f"cannot tokenize query near {text[pos:pos + 20]!r}",
+                                      text, pos)
+            if m.lastgroup != "skip":
+                self.tokens.append(m.group())
+                self.offsets.append(pos)
+            pos = m.end()
+        self.offsets.append(len(text))  # errors at the end of the query point here
         self.pos = 0
+
+    def error(self, message: str, index: int) -> QueryParseError:
+        """An error located at token ``index`` (the end of the query past the last)."""
+        return QueryParseError(message, self.text, self.offsets[index])
+
+    def check_supported(self, index: int) -> None:
+        word = self.tokens[index].upper()
+        if word in UNSUPPORTED_KEYWORDS:
+            raise UnsupportedFeatureError(word, self.text, self.offsets[index])
 
     def peek(self) -> Optional[str]:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -71,57 +86,27 @@ class _Tokens:
     def next(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise QueryParseError("unexpected end of query")
+            raise self.error("unexpected end of query", self.pos)
         self.pos += 1
         return tok
 
-    def expect_keyword(self, word: str) -> None:
+    def expect(self, word: str) -> None:
         tok = self.next()
         if tok.upper() != word:
-            raise QueryParseError(f"expected {word}, found {tok!r}")
-
-    def expect(self, tok: str) -> None:
-        got = self.next()
-        if got != tok:
-            raise QueryParseError(f"expected {tok!r}, found {got!r}")
+            raise self.error(f"expected {word}, found {tok!r}", self.pos - 1)
 
 
-def _check_unsupported(token: str) -> None:
-    if token.upper() in UNSUPPORTED_KEYWORDS:
-        raise UnsupportedFeatureError(token.upper())
-
-
-_ESCAPE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.))", re.DOTALL)
-
-
-def _unescape(body: str) -> str:
-    r"""Decode the literal escapes the parser supports: \uXXXX, \UXXXXXXXX and
-    the N-Triples one-character escapes (\t \b \n \r \f \" \' \\). Any
-    other escape is an error; other characters stay as written."""
-
-    def decode(m: re.Match) -> str:
-        code = m.group(1) or m.group(2)
-        if code is not None:
-            try:
-                return chr(int(code, 16))
-            except ValueError:  # beyond U+10FFFF
-                raise QueryParseError(f"bad unicode escape {m.group()!r}") from None
-        if m.group(3) not in LITERAL_UNESCAPES:
-            raise QueryParseError(f"unsupported escape {m.group()!r} in literal")
-        return LITERAL_UNESCAPES[m.group(3)]
-
-    return _ESCAPE.sub(decode, body)
-
-
-def _parse_term(tok: str, prefixes: dict[str, str]) -> Term:
-    if tok.startswith("<"):
-        return iri(tok[1:-1])
-    if tok.startswith('"'):
-        m = re.match(r'"((?:[^"\\]|\\.)*)"(?:@([A-Za-z][A-Za-z0-9-]*)|\^\^<([^<>\s]*)>)?$', tok)
-        if m is None:
-            raise QueryParseError(f"malformed literal {tok!r}")
-        value = _unescape(m.group(1))
-        return literal(value, datatype=m.group(3), lang=m.group(2))
+def _read_term(ts: _Tokens, prefixes: dict[str, str]) -> PatternTerm:
+    index = ts.pos
+    tok = ts.next()
+    ts.check_supported(index)
+    if tok.startswith("?"):
+        return Variable(tok[1:])
+    if tok[0] in '<"':
+        try:
+            return parse_term(tok)
+        except ValueError as e:
+            raise ts.error(str(e), index) from None
     if re.fullmatch(r"[+-]?\d+", tok):
         return literal(tok, datatype=XSD_INTEGER)
     if re.fullmatch(r"[+-]?\d+\.\d+", tok):
@@ -131,54 +116,41 @@ def _parse_term(tok: str, prefixes: dict[str, str]) -> Term:
     if ":" in tok:
         pfx, local = tok.split(":", 1)
         if pfx not in prefixes:
-            raise QueryParseError(f"unknown prefix {pfx!r}")
+            raise ts.error(f"unknown prefix {pfx!r}", index)
         return iri(prefixes[pfx] + local)
-    _check_unsupported(tok)
-    raise QueryParseError(f"unexpected token {tok!r} in triple pattern")
-
-
-def _read_term(ts: _Tokens, prefixes: dict[str, str]) -> PatternTerm:
-    tok = ts.next()
-    _check_unsupported(tok)
-    if tok.startswith("?"):
-        return Variable(tok[1:])
-    return _parse_term(tok, prefixes)
+    raise ts.error(f"unexpected token {tok!r} in triple pattern", index)
 
 
 def parse_query(text: str) -> Query:
     """Parse query text; unsupported SPARQL keywords raise UnsupportedFeatureError."""
-    ts = _Tokens(_tokenize(text))
+    ts = _Tokens(text)
     prefixes: dict[str, str] = {}
 
-    while True:
-        tok = ts.peek()
-        if tok is None:
-            raise QueryParseError("empty query")
-        if tok.upper() == "PREFIX":
-            ts.next()
-            name = ts.next()
-            if not name.endswith(":"):
-                # prefixed-name token may carry the colon already ("dbo:")
-                if ":" not in name:
-                    raise QueryParseError(f"malformed PREFIX name {name!r}")
-            pfx = name.rstrip(":").split(":")[0]
-            target = ts.next()
-            if not target.startswith("<"):
-                raise QueryParseError("PREFIX target must be an IRI")
-            prefixes[pfx] = target[1:-1]
-            continue
-        break
+    while (ts.peek() or "").upper() == "PREFIX":
+        ts.next()
+        # the prefixed-name token may carry the colon already ("dbo:")
+        name = ts.next()
+        if ":" not in name:
+            raise ts.error(f"malformed PREFIX name {name!r}", ts.pos - 1)
+        pfx = name.rstrip(":").split(":")[0]
+        target = ts.next()
+        if not target.startswith("<"):
+            raise ts.error("PREFIX target must be an IRI", ts.pos - 1)
+        prefixes[pfx] = target[1:-1]
+    if ts.peek() is None:
+        raise ts.error("empty query", ts.pos)
 
     tok = ts.next()
-    _check_unsupported(tok)
+    ts.check_supported(ts.pos - 1)
     if tok.upper() != "SELECT":
-        raise QueryParseError(f"expected SELECT, found {tok!r}")
+        raise ts.error(f"expected SELECT, found {tok!r}", ts.pos - 1)
 
     distinct = False
     if ts.peek() and ts.peek().upper() == "DISTINCT":
         ts.next()
         distinct = True
 
+    projected_at = ts.pos
     projection: Optional[list[str]] = None
     if ts.peek() == "*":
         ts.next()
@@ -187,16 +159,16 @@ def parse_query(text: str) -> Query:
         while ts.peek() and ts.peek().startswith("?"):
             projection.append(ts.next()[1:])
         if not projection:
-            raise QueryParseError("SELECT needs '*' or at least one variable")
+            raise ts.error("SELECT needs '*' or at least one variable", ts.pos)
 
-    ts.expect_keyword("WHERE")
+    ts.expect("WHERE")
     ts.expect("{")
 
     patterns: list[TriplePattern] = []
     while True:
         tok = ts.peek()
         if tok is None:
-            raise QueryParseError("unterminated WHERE block")
+            raise ts.error("unterminated WHERE block", ts.pos)
         if tok == "}":
             ts.next()
             break
@@ -219,10 +191,10 @@ def parse_query(text: str) -> Query:
             ts.next()
 
     if ts.peek() is not None:
-        _check_unsupported(ts.peek())
-        raise QueryParseError(f"trailing content after WHERE block: {ts.peek()!r}")
+        ts.check_supported(ts.pos)
+        raise ts.error(f"trailing content after WHERE block: {ts.peek()!r}", ts.pos)
     if not patterns:
-        raise QueryParseError("empty basic graph pattern")
+        raise ts.error("empty basic graph pattern", ts.pos - 1)
 
     # collect into a set, preserving document order of first occurrence
     seen: set[TriplePattern] = set()
@@ -232,5 +204,8 @@ def parse_query(text: str) -> Query:
             seen.add(tp)
             unique.append(tp)
 
-    return Query(bgp=tuple(unique), distinct=distinct,
-                 projection=tuple(projection) if projection is not None else None)
+    try:
+        return Query(bgp=tuple(unique), distinct=distinct,
+                     projection=tuple(projection) if projection is not None else None)
+    except ValueError as e:  # a projected variable that no pattern binds
+        raise ts.error(str(e), projected_at) from None

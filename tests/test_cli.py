@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import (RUNNING_ALLOCATION, RUNNING_DATA, RUNNING_QUERY,
+from helpers import (NAT, RUNNING_ALLOCATION, RUNNING_DATA, RUNNING_QUERY,
                      RUNNING_TOPOLOGY, running_fragments)
 from starbloom.cli import EXIT_DATA, EXIT_OK, EXIT_UNSUPPORTED, main
 from starbloom.fragments import load_fragments
@@ -54,7 +54,12 @@ def run_cli_subprocess(args: list[str], cwd=None) -> subprocess.CompletedProcess
 
 def oracle_rows() -> str:
     """The running query's canonical result table, from the brute-force oracle."""
-    rows = evaluate_bgp(parse_query(RUNNING_QUERY).bgp, parse_ntriples(RUNNING_DATA))
+    return oracle_table(RUNNING_QUERY, RUNNING_DATA)
+
+
+def oracle_table(query: str, data: str) -> str:
+    """A query's canonical result table over N-Triples text, from the brute-force oracle."""
+    rows = evaluate_bgp(parse_query(query).bgp, parse_ntriples(data))
     variables = sorted({v for row in rows for v in row})
     lines = ["\t".join(f"?{v}" for v in variables)]
     lines.extend(sorted("\t".join(row[v].nt() for v in variables) for row in rows))
@@ -222,6 +227,38 @@ class TestNetworkCommand:
             args[2] = str(path)
             assert main(args) == EXIT_OK
         assert a.read_text() == b.read_text()
+
+
+@pytest.mark.parametrize("command", ["query", "plan"])
+@pytest.mark.parametrize("text, code, message", [
+    ("SELECT * WHERE { ?s ?p }", EXIT_DATA,
+     "bad.rq:1:24: unexpected token '}' in triple pattern"),
+    ("SELECT * WHERE { ?s ?p ?o .\n OPTIONAL { ?s ?q ?r } }", EXIT_UNSUPPORTED,
+     "bad.rq:2:2: unsupported feature: OPTIONAL"),
+])
+def test_query_errors_name_path_line_and_column(tmp_path, command, text, code, message):
+    (tmp_path / "bad.rq").write_text(text, encoding="utf-8")
+    proc = run_cli_subprocess([command, "bad.rq", "--state", "state.json", "--node", "n1"],
+                              cwd=tmp_path)
+    assert proc.returncode == code
+    assert proc.stderr == f"error: {message}\n"
+
+
+def test_line_separator_literal_through_fragment_network_and_query(tmp_path):
+    data_text = RUNNING_DATA + '<http://ex/a1> <http://ex/label> "a\u2028b" .\n'
+    query_text = f"SELECT * WHERE {{ ?s <http://ex/label> ?o . ?s <{NAT}> ?c . }}"
+    data, query = tmp_path / "data.nt", tmp_path / "label.rq"
+    data.write_text(data_text, encoding="utf-8")
+    query.write_text(query_text, encoding="utf-8")
+    frag_dir, state, results = tmp_path / "frags", tmp_path / "net.json", tmp_path / "rows.tsv"
+    assert main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"]) == EXIT_OK
+    assert main(["network", "create", str(state), "--fragments", str(frag_dir),
+                 *CREATE_ARGS]) == EXIT_OK
+    assert main(["query", str(query), "--state", str(state), "--node", "n1",
+                 "--results", str(results), "--metrics", str(tmp_path / "m.json")]) == EXIT_OK
+    expected = oracle_table(query_text, data_text)
+    assert "a\u2028b" in expected
+    assert results.read_text(encoding="utf-8") == expected
 
 
 class TestQueryCommand:

@@ -50,6 +50,12 @@ def test_blank_nodes():
     ("<relative> <http://ex/p> <http://ex/o> .", "not absolute"),
     ('"lit" <http://ex/p> <http://ex/o> .', "subject"),
     ("<http://ex/s> _:b <http://ex/o> .", "predicate"),
+    ('<http://ex/s> <http://ex/p> "\\u+041" .', "bad unicode escape"),
+    ('<http://ex/s> <http://ex/p> "\\u 041" .', "bad unicode escape"),
+    ('<http://ex/s> <http://ex/p> "\\u0_41" .', "bad unicode escape"),
+    ('<http://ex/s> <http://ex/p> "\\U80000000" .', "bad unicode escape"),
+    ('<http://ex/s> <http://ex/p> "x"@1- .', "malformed language tag"),
+    ("<http://ex/s> <http://ex/p> <http://ex/o\tx> .", "malformed IRI"),
 ])
 def test_errors_carry_line_numbers(line, fragment):
     with pytest.raises(NTriplesError) as err:
@@ -73,3 +79,12 @@ def test_round_trip(triple_parts):
     assert g.triples == frozenset(Triple(*t) for t in triple_parts)
     # serialization is canonical: parse -> serialize is a fixpoint
     assert serialize_ntriples(g) == serialize_ntriples(parse_ntriples(serialize_ntriples(g)))
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                                       "\u2028", "\u2029"])
+def test_line_separators_in_literals_round_trip(separator):
+    triple = Triple(iri("http://ex/s"), iri("http://ex/p"), literal(f"a{separator}b"))
+    text = serialize_ntriples([triple])
+    assert separator in text  # written raw, not escaped
+    assert parse_ntriples(text).triples == frozenset([triple])

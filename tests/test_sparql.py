@@ -89,7 +89,8 @@ def test_supported_escapes_decode(escaped, decoded):
     assert _literal(escaped).lexical == decoded
 
 
-@pytest.mark.parametrize("escaped", [r'"\x41"', r'"\a"', r'"\uZZZZ"', r'"\U00110000"'])
+@pytest.mark.parametrize("escaped", [r'"\x41"', r'"\a"', r'"\uZZZZ"', r'"\U00110000"',
+                                     r'"\U80000000"'])
 def test_other_escapes_rejected(escaped):
     with pytest.raises(QueryParseError):
         _literal(escaped)
@@ -127,3 +128,22 @@ def test_shorthand_expands_in_document_order(shorthand, expanded):
 def test_malformed_shorthand_rejected(body):
     with pytest.raises(QueryParseError):
         parse_query(SHORTHAND_PREFIX + body)
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("SELECT * WHERE { ?s ?p }", 1, 24),
+    ("SELECT * WHERE {\n  ?s <http://ex/p> ?o .\n  ?s ?q\n}", 4, 1),
+    ("SELECT * WHERE { ?s <http://ex/p> ?o .\n  FILTER { } }", 2, 3),
+    ("SELECT * WHERE { ?s <http://ex/p> ?o .\n  FILTER (?o) }", 2, 10),
+    ("SELECT * WHERE { ?s ex:p ?o }", 1, 21),
+    ("SELECT * WHERE { ?s <http://ex/p> \"\\q\" }", 1, 35),
+    ("SELECT * WHERE { ?s <http://ex/p> ?o . ", 1, 40),
+    ("SELECT * WHERE { ?s <http://ex/p> ?o . } $", 1, 42),
+    ("PREFIX ex: <http://ex/>\n", 2, 1),
+    ("SELECT ?s ?x WHERE { ?s <http://ex/p> ?o }", 1, 8),
+])
+def test_errors_name_line_and_column(text, line, column):
+    with pytest.raises(QueryParseError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"{line}:{column}: ")
