@@ -201,9 +201,6 @@ class SPBF:
         if set(self.objects) != set(self.predicates):
             raise ValueError("object summaries must cover exactly the predicate set")
 
-    def object_summary(self, predicate: str) -> Summary:
-        return self.objects[predicate]
-
     def has_predicate(self, predicate: str) -> bool:
         return predicate in self.objects
 

@@ -41,9 +41,6 @@ class CharacteristicSet:
     def __len__(self) -> int:
         return len(self.predicates)
 
-    def issubset(self, other: "CharacteristicSet") -> bool:
-        return set(self.predicates) <= set(other.predicates)
-
     def intersection(self, predicates: Iterable[str]) -> tuple[str, ...]:
         other = set(predicates)
         return tuple(p for p in self.predicates if p in other)
@@ -160,21 +157,12 @@ class MergeReport:
     feasible: bool = True
 
 
-def _absorb(target: Fragment, triples: Iterable[Triple]) -> Fragment:
-    merged = target.triples | frozenset(triples)
-    return Fragment(target.id, target.cs, merged, len({t.s for t in merged}))
-
-
-def _pick_subset_target(cs: CharacteristicSet, targets: list[Fragment]) -> Optional[Fragment]:
-    candidates = [t for t in targets if cs.issubset(t.cs) and t.cs != cs]
-    if not candidates:
-        return None
-    # smallest predicate set wins; canonical text breaks remaining ties
-    return min(candidates, key=lambda f: (len(f.cs), f.cs.canonical()))
-
-
 def _split_pieces(frag: Fragment, targets: list[Fragment]) -> tuple[list[tuple[tuple[str, ...], Fragment]], tuple[str, ...]]:
-    """Greedy split of ``frag`` into predicate pieces, largest overlap first.
+    """The one placement rule of merging: cut ``frag``'s predicates greedily
+    into pieces, each going to the target that holds the most of the
+    remaining predicates (then the fewest predicates, then the first
+    canonical text). A fragment whose predicates some target holds all of is
+    therefore one piece, bound for the smallest such target.
 
     Returns (pieces as (predicates, target) pairs, leftover predicates).
     """
@@ -198,72 +186,63 @@ def _split_pieces(frag: Fragment, targets: list[Fragment]) -> tuple[list[tuple[t
     return pieces, tuple(sorted(remaining))
 
 
+def _move(frag: Fragment, pieces: list[tuple[tuple[str, ...], Fragment]],
+          targets: dict[str, Fragment], report: MergeReport) -> frozenset[Triple]:
+    """Add each piece of ``frag``'s triples to its target in ``targets`` (by
+    id) and return the triples no piece takes. A piece holding every
+    predicate is reported as absorbed, any other as split. This is the only
+    place where merging divides a subject's triples."""
+    left = frag.triples
+    for preds, target in pieces:
+        whole = len(preds) == len(frag.cs)
+        moved = frag.triples if whole else {t for t in left if t.p.lexical in preds}
+        left -= moved
+        merged = targets[target.id].triples | moved
+        targets[target.id] = Fragment(target.id, target.cs, merged, len({t.s for t in merged}))
+        if whole:
+            report.absorbed.append((frag.id, target.id))
+        else:
+            report.split.append((frag.id, preds, target.id))
+    return left
+
+
 def merge_infrequent(fragments: Iterable[Fragment], min_subjects: int = DEFAULT_MIN_SUBJECTS,
                      graph_id: str = "g") -> tuple[list[Fragment], MergeReport]:
     """Fold fragments with fewer than ``min_subjects`` subjects into larger ones.
 
-    Step 1 absorbs a small fragment whole when its predicate set is contained
-    in a surviving fragment's set (the target with the fewest predicates wins).
-    Step 2 splits the remainder into pieces that fit surviving fragments;
-    leftover predicates with no target stay behind as residual fragments.
-    The two steps repeat until stable, so the operation is idempotent.
-    Triples are never lost or duplicated.
+    Each small fragment, fewest subjects first, is placed on the surviving
+    fragments by ``_split_pieces``: whole when one survivor holds all of its
+    predicates, else in pieces. Leftover predicates that no survivor holds
+    stay behind as residual fragments. Passes repeat until stable, so the
+    operation is idempotent. Triples are never lost or duplicated.
     """
-    frags = sorted(fragments, key=Fragment.sort_key)
-    report = MergeReport()
-    for _ in range(max(1, len(frags))):
-        merged, pass_report = _merge_pass(frags, min_subjects, graph_id)
-        report.absorbed.extend(pass_report.absorbed)
-        report.split.extend(pass_report.split)
-        report.residual = pass_report.residual
-        if {f.id: f.triples for f in merged} == {f.id: f.triples for f in frags}:
-            break
-        frags = merged
-    return frags, report
-
-
-def _merge_pass(fragments: list[Fragment], min_subjects: int,
-                graph_id: str) -> tuple[list[Fragment], MergeReport]:
     if min_subjects < 1:
         raise ValueError("min_subjects must be >= 1")
     frags = sorted(fragments, key=Fragment.sort_key)
     report = MergeReport()
-
-    survivors = {f.id: f for f in frags if f.subject_count >= min_subjects}
-    infrequent = [f for f in frags if f.subject_count < min_subjects]
-    infrequent.sort(key=lambda f: (f.subject_count, f.cs.canonical()))
-
-    needs_split: list[Fragment] = []
-    for f in infrequent:
-        target = _pick_subset_target(f.cs, list(survivors.values()))
-        if target is None:
-            needs_split.append(f)
-        else:
-            survivors[target.id] = _absorb(survivors[target.id], f.triples)
-            report.absorbed.append((f.id, target.id))
-
-    residuals: dict[CharacteristicSet, set[Triple]] = {}
-    for f in needs_split:
-        pieces, leftover = _split_pieces(f, list(survivors.values()))
-        if not pieces:
-            report.residual.append(f.id)
-            residuals.setdefault(f.cs, set()).update(f.triples)
-            continue
-        for preds, target in pieces:
-            piece_triples = [t for t in f.triples if t.p.lexical in set(preds)]
-            survivors[target.id] = _absorb(survivors[target.id], piece_triples)
-            report.split.append((f.id, preds, target.id))
-        if leftover:
-            left_triples = [t for t in f.triples if t.p.lexical in set(leftover)]
-            cs = CharacteristicSet.of(leftover)
-            residuals.setdefault(cs, set()).update(left_triples)
-            report.split.append((f.id, leftover, "(residual)"))
-
-    out = list(survivors.values())
-    for cs, triples in residuals.items():
-        out.append(Fragment.build(cs, triples, graph_id))
-    out.sort(key=Fragment.sort_key)
-    return out, report
+    for _ in range(max(1, len(frags))):
+        survivors = {f.id: f for f in frags if f.subject_count >= min_subjects}
+        targets = list(survivors.values())  # placement reads only their predicate sets
+        infrequent = sorted((f for f in frags if f.subject_count < min_subjects),
+                            key=lambda f: (f.subject_count, f.cs.canonical()))
+        residuals: dict[CharacteristicSet, set[Triple]] = {}
+        report.residual = []
+        for f in infrequent:
+            pieces, leftover = _split_pieces(f, targets)
+            left = _move(f, pieces, survivors, report)
+            if not pieces:
+                report.residual.append(f.id)
+            elif leftover:
+                report.split.append((f.id, leftover, "(residual)"))
+            if leftover:
+                residuals.setdefault(CharacteristicSet.of(leftover), set()).update(left)
+        merged = list(survivors.values())
+        merged.extend(Fragment.build(cs, triples, graph_id) for cs, triples in residuals.items())
+        merged.sort(key=Fragment.sort_key)
+        if {f.id: f.triples for f in merged} == {f.id: f.triples for f in frags}:
+            break
+        frags = merged
+    return frags, report
 
 
 def merge_to_count(fragments: Iterable[Fragment], target_count: int,
@@ -281,29 +260,18 @@ def merge_to_count(fragments: Iterable[Fragment], target_count: int,
         if not candidates:
             break
         f = min(candidates, key=lambda x: (x.subject_count, x.cs.canonical()))
-        others = [x for x in frags if x.id != f.id]
-        target = _pick_subset_target(f.cs, others)
-        if target is not None:
-            merged = _absorb(target, f.triples)
-            frags = [merged if x.id == target.id else x for x in others]
-            report.absorbed.append((f.id, target.id))
-            continue
-        pieces, leftover = _split_pieces(f, others)
+        others = {x.id: x for x in frags if x.id != f.id}
+        pieces, leftover = _split_pieces(f, list(others.values()))
         if not pieces or leftover:
-            # splitting would not reduce the fragment count
+            # placing the fragment would not reduce the fragment count
             stuck.add(f.id)
             report.residual.append(f.id)
             continue
-        by_id = {x.id: x for x in others}
-        for preds, target in pieces:
-            piece_triples = [t for t in f.triples if t.p.lexical in set(preds)]
-            by_id[target.id] = _absorb(by_id[target.id], piece_triples)
-            report.split.append((f.id, preds, target.id))
-        frags = sorted(by_id.values(), key=Fragment.sort_key)
+        _move(f, pieces, others, report)
+        frags = sorted(others.values(), key=Fragment.sort_key)
 
     report.achieved_count = len(frags)
     report.feasible = len(frags) <= target_count
-    frags.sort(key=Fragment.sort_key)
     return frags, report
 
 

@@ -24,9 +24,6 @@ class Term:
     datatype: Optional[str] = None
     lang: Optional[str] = None
 
-    def is_iri(self) -> bool:
-        return self.kind == IRI
-
     @property
     def prefix(self) -> str:
         """Namespace-style prefix: up to and including the last '/' or '#'.
@@ -244,9 +241,6 @@ class StarPattern:
     def predicates(self) -> tuple[str, ...]:
         """Sorted non-variable predicate IRIs."""
         return tuple(sorted({tp.p.lexical for tp in self.patterns if isinstance(tp.p, Term)}))
-
-    def has_variable_predicate(self) -> bool:
-        return any(isinstance(tp.p, Variable) for tp in self.patterns)
 
     def __len__(self) -> int:
         return len(self.patterns)

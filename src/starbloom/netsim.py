@@ -148,6 +148,9 @@ def network_from_layout(config: NetworkConfig, topology: dict[str, Iterable[str]
              for nid, nbrs in topology.items()}
     if len(nodes) != config.node_count:
         raise ValueError("topology size does not match config.node_count")
+    unknown = {n for node in nodes.values() for n in node.neighbors} - nodes.keys()
+    if unknown:
+        raise ValueError(f"topology names unknown neighbours: {sorted(unknown, key=node_sort_key)}")
     return Network(config, nodes)
 
 
@@ -426,9 +429,9 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
     rebuilt. Unless ``fragments`` are given, they are opened from the state's
     fragment directory, each file checked against its recorded digest, and
     each parsed only when first used. Directories resolve against the state
-    file's directory. A state file that cannot be read or lacks a field,
-    unreadable or mismatched slices, and missing or changed fragment files
-    raise ``StateFileError``.
+    file's directory. A state file that cannot be read, lacks a field or
+    names a neighbour that is not a node, unreadable or mismatched slices,
+    and missing or changed fragment files raise ``StateFileError``.
     """
     path = Path(path)
     try:
@@ -452,7 +455,7 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
         fragments_dir = _beside(path, state.get("fragments_dir"))
         slices_dir = _beside(path, state.get("slices_dir"))
         digests = {fid: d for fid, d in state.get("fragment_digests", {}).items()}
-    except (KeyError, TypeError, AttributeError) as e:
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise StateFileError(f"malformed state file {path}: {type(e).__name__} {e}") from e
     if not allocation:
         return net

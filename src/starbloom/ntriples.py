@@ -10,12 +10,13 @@ from .model import (IRI, LITERAL, LITERAL_UNESCAPES, KnowledgeGraph, Term, Tripl
                     blank, iri, literal)
 
 # The term grammar (W3C RDF 1.1 N-Triples, section 7): IRIREF, a quoted
-# literal with an optional language tag or datatype, and a blank-node label.
+# literal with an optional language tag or datatype, and a blank-node label,
+# which may hold but not end in '.'.
 IRI_PATTERN = r"<[^<>\s]*>"
 LITERAL_PATTERN = r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^' + IRI_PATTERN + ")?"
 
 # Spaces and tabs, then one term; group 1 is None where no term starts.
-_TERM = re.compile(rf"[ \t]*({IRI_PATTERN}|{LITERAL_PATTERN}|_:[\w.-]+)?")
+_TERM = re.compile(rf"[ \t]*({IRI_PATTERN}|{LITERAL_PATTERN}|_:[\w.-]*[\w-])?")
 _ESCAPE_SEQUENCE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.DOTALL)
 _LINE_END = re.compile(r"\r\n?|\n")
 

@@ -15,15 +15,14 @@ example over its exact filters and over the real five-node network.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import sys
 from pathlib import Path
 from typing import Iterator
 
 from helpers import (RUNNING_QUERY, RUNNING_QUERY_DISTINCT, build_running_network,
-                     exact_running_index, random_components_query, random_graph,
-                     random_network)
+                     exact_running_index, golden_compare, golden_main,
+                     random_components_query, random_graph, random_network)
 from starbloom.planner import explain, optimize
 from starbloom.plans import render_plan
 from starbloom.sparql import parse_query
@@ -61,56 +60,17 @@ def plan_text(query, index, origin: str) -> str:
     return render_plan(result.plan) + "\n" + explain(result)
 
 
-def digest(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-
-
-def read_corpus() -> dict[str, str]:
-    out = {}
-    for line in CORPUS.read_text(encoding="utf-8").splitlines():
-        if line and not line.startswith("#"):
-            name, value = line.split()
-            out[name] = value
-    return out
+def texts() -> Iterator[tuple[str, str]]:
+    for name, query, index, origin in instances():
+        yield name, plan_text(query, index, origin)
 
 
 def compare() -> list[str]:
     """Regenerate every instance; one message per mismatch, the first one
     followed by that instance's plan text."""
-    want = read_corpus()
-    problems = []
-    seen = set()
-    for name, query, index, origin in instances():
-        seen.add(name)
-        text = plan_text(query, index, origin)
-        got = digest(text)
-        if want.get(name) != got:
-            msg = f"{name}: digest {got}, corpus {want.get(name)}"
-            if not problems:
-                msg += "\n" + text
-            problems.append(msg)
-    problems.extend(f"{name}: in the corpus but not generated"
-                    for name in sorted(want.keys() - seen))
-    return problems
-
-
-def write() -> None:
-    lines = ["# name digest: sha256 of render_plan + explain text, first 16 hex digits"]
-    for name, query, index, origin in instances():
-        lines.append(f"{name} {digest(plan_text(query, index, origin))}")
-    CORPUS.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def main(argv: list[str]) -> int:
-    if argv == ["--write"]:
-        write()
-        return 0
-    problems = compare()
-    for msg in problems:
-        print(msg)
-    print(f"{len(problems)} mismatch(es)")
-    return 1 if problems else 0
+    return golden_compare(CORPUS, texts())
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(golden_main(sys.argv[1:], CORPUS, "name digest: sha256 of render_plan + explain "
+                         "text, first 16 hex digits", texts()))

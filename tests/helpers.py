@@ -3,9 +3,11 @@ variants) and a generator for small random networks."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
-from typing import Optional
+from pathlib import Path
+from typing import Iterable, Optional
 
 from starbloom.bloom import BloomParams, ExactBitset, SPBF
 from starbloom.cardinality import PlanContext
@@ -185,6 +187,24 @@ def build_running_network(m: int = 20000, k: int = 5) -> tuple[Network, dict[str
     return net, names
 
 
+def example_counts_fixture() -> KnowledgeGraph:
+    """Five characteristic sets with subject counts (500, 500, 1000, 2, 1)."""
+    triples = []
+
+    def add_subjects(tag, preds, count):
+        for i in range(count):
+            s = iri(f"http://ex/{tag}{i}")
+            for p in preds:
+                triples.append(Triple(s, iri(p), iri(f"http://ex/o_{tag}_{i}")))
+
+    add_subjects("a", [NAT, AUTH, DEATH], 500)       # CS1
+    add_subjects("b", [NAT, AUTH], 500)              # CS2
+    add_subjects("c", [PUB, LANG], 1000)             # CS3
+    add_subjects("d", [NAT, AUTH, LANG], 2)          # CS4
+    add_subjects("e", [NAT], 1)                      # CS5
+    return KnowledgeGraph(triples)
+
+
 # -- reference implementations ----------------------------------------------------
 
 
@@ -336,3 +356,51 @@ def create_connected(config: NetworkConfig) -> Network:
     if config.node_count == 1:
         topology = {ids[0]: []}
     return network_from_layout(config, topology)
+
+
+# -- golden corpora ----------------------------------------------------------------
+# A corpus file holds one "name digest" line per instance: the first 16 hex
+# digits of the SHA-256 of the instance's text.
+
+
+def golden_digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def golden_compare(corpus: Path, texts: Iterable[tuple[str, str]]) -> list[str]:
+    """One message per instance whose text does not have its pinned digest,
+    the first one followed by that text, and one per pinned name that
+    ``texts`` no longer yields."""
+    want = {}
+    for line in corpus.read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            name, value = line.split()
+            want[name] = value
+    problems = []
+    seen = set()
+    for name, text in texts:
+        seen.add(name)
+        got = golden_digest(text)
+        if want.get(name) != got:
+            msg = f"{name}: digest {got}, corpus {want.get(name)}"
+            if not problems:
+                msg += "\n" + text
+            problems.append(msg)
+    problems.extend(f"{name}: in the corpus but not generated"
+                    for name in sorted(want.keys() - seen))
+    return problems
+
+
+def golden_main(argv: list[str], corpus: Path, header: str,
+                texts: Iterable[tuple[str, str]]) -> int:
+    """``--write`` pins every text's digest under the comment ``header``;
+    no argument compares and exits 1 on a mismatch."""
+    if argv == ["--write"]:
+        lines = [f"# {header}"] + [f"{name} {golden_digest(text)}" for name, text in texts]
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return 0
+    problems = golden_compare(corpus, texts)
+    for msg in problems:
+        print(msg)
+    print(f"{len(problems)} mismatch(es)")
+    return 1 if problems else 0

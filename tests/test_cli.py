@@ -398,7 +398,7 @@ class TestPersistedState:
 
     @pytest.mark.parametrize("broken", [
         "no slice directory", "truncated slice", "other bloom m", "no slices named",
-        "edited fragment", "missing fragment"])
+        "edited fragment", "missing fragment", "unknown neighbour"])
     def test_broken_persisted_state_exit_code(self, created, broken):
         tmp_path, state, query = created
         slices = tmp_path / "net.json.slices"
@@ -410,10 +410,13 @@ class TestPersistedState:
             first = sorted(slices.glob("*.slice"))[0]
             first.write_bytes(first.read_bytes()[:40])
             expected = first.name
-        elif broken in ("other bloom m", "no slices named"):
+        elif broken in ("other bloom m", "no slices named", "unknown neighbour"):
             data = json.loads(state.read_text(encoding="utf-8"))
             if broken == "other bloom m":
                 data["config"]["bloom"]["m"] = 2048
+            elif broken == "unknown neighbour":
+                data["topology"]["n1"][0] = "n6"
+                expected = "unknown neighbours: ['n6']"
             else:
                 del data["slices_dir"]
                 expected = "network create"

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from helpers import AUTH, DEATH, LANG, NAT, PUB
+from helpers import AUTH, DEATH, LANG, NAT, PUB, example_counts_fixture
 import starbloom.fragments as fragments_module
 from starbloom.fragments import (FragmentStoreError, SubjectNotFoundError,
                                  characteristic_set, fragment_by_cs,
@@ -119,24 +119,6 @@ class TestFragmentByCS:
         a = {f.id for f in fragment_by_cs(g)}
         b = {f.id for f in fragment_by_cs(g)}
         assert a == b
-
-
-def example_counts_fixture():
-    """Five characteristic sets with subject counts (500, 500, 1000, 2, 1)."""
-    triples = []
-
-    def add_subjects(tag, preds, count):
-        for i in range(count):
-            s = f"http://ex/{tag}{i}"
-            for p in preds:
-                triples.append(t(s, p, f"http://ex/o_{tag}_{i}"))
-
-    add_subjects("a", [NAT, AUTH, DEATH], 500)       # CS1
-    add_subjects("b", [NAT, AUTH], 500)              # CS2
-    add_subjects("c", [PUB, LANG], 1000)             # CS3
-    add_subjects("d", [NAT, AUTH, LANG], 2)          # CS4
-    add_subjects("e", [NAT], 1)                      # CS5
-    return KnowledgeGraph(triples)
 
 
 class TestMergeInfrequent:

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from starbloom.model import Triple, iri, literal
+from starbloom.model import Triple, blank, iri, literal
 from starbloom.ntriples import NTriplesError, parse_ntriples, serialize_ntriples
 
 
@@ -41,6 +41,15 @@ def test_blank_nodes():
     g = parse_ntriples("_:b0 <http://ex/p> _:b1 .")
     t = next(iter(g))
     assert t.s.kind == "blank" and t.o.kind == "blank"
+
+
+@pytest.mark.parametrize("line,label", [
+    ("<http://ex/s> <http://ex/p> _:b1.", "b1"),  # the '.' ends the triple
+    ("<http://ex/s> <http://ex/p> _:a.b .", "a.b"),
+], ids=["dot-ends-triple", "inner-dot"])
+def test_blank_node_label_dots(line, label):
+    t = next(iter(parse_ntriples(line)))
+    assert t.o == blank(label)
 
 
 @pytest.mark.parametrize("line,fragment", [
