@@ -213,8 +213,9 @@ def merge_infrequent(fragments: Iterable[Fragment], min_subjects: int = DEFAULT_
     Each small fragment, fewest subjects first, is placed on the surviving
     fragments by ``_split_pieces``: whole when one survivor holds all of its
     predicates, else in pieces. Leftover predicates that no survivor holds
-    stay behind as residual fragments. Passes repeat until stable, so the
-    operation is idempotent. Triples are never lost or duplicated.
+    stay behind as residual fragments. Passes repeat until one places no
+    piece, so the operation is idempotent. Triples are never lost or
+    duplicated.
     """
     if min_subjects < 1:
         raise ValueError("min_subjects must be >= 1")
@@ -227,21 +228,22 @@ def merge_infrequent(fragments: Iterable[Fragment], min_subjects: int = DEFAULT_
                             key=lambda f: (f.subject_count, f.cs.canonical()))
         residuals: dict[CharacteristicSet, set[Triple]] = {}
         report.residual = []
+        placed = False
         for f in infrequent:
             pieces, leftover = _split_pieces(f, targets)
             left = _move(f, pieces, survivors, report)
+            placed = placed or bool(pieces)
             if not pieces:
                 report.residual.append(f.id)
             elif leftover:
                 report.split.append((f.id, leftover, "(residual)"))
             if leftover:
                 residuals.setdefault(CharacteristicSet.of(leftover), set()).update(left)
-        merged = list(survivors.values())
-        merged.extend(Fragment.build(cs, triples, graph_id) for cs, triples in residuals.items())
-        merged.sort(key=Fragment.sort_key)
-        if {f.id: f.triples for f in merged} == {f.id: f.triples for f in frags}:
+        if not placed:
             break
-        frags = merged
+        frags = list(survivors.values())
+        frags.extend(Fragment.build(cs, triples, graph_id) for cs, triples in residuals.items())
+        frags.sort(key=Fragment.sort_key)
     return frags, report
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,25 +127,29 @@ def slice_from_bytes(data: bytes, expected_params: Optional[BloomParams] = None)
     return SPBFSlice(fid, spbf, holders)
 
 
-def write_slices(slices: Iterable[SPBFSlice], outdir: Path) -> Path:
-    """One binary file per slice plus a manifest listing them."""
+def write_slices(slices: Iterable[SPBFSlice], outdir: Path) -> dict[str, str]:
+    """One binary file per slice plus a manifest listing them. Returns the
+    SHA-256 of each slice file by file name."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    names = []
+    digests = {}
     for s in sorted(slices, key=lambda s: s.fragment_id):
         name = f"{s.fragment_id}.slice"
-        (outdir / name).write_bytes(slice_to_bytes(s))
-        names.append(name)
+        data = slice_to_bytes(s)
+        (outdir / name).write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
     manifest = outdir / "index.manifest"
-    manifest.write_text("".join(n + "\n" for n in names), encoding="utf-8")
-    return manifest
+    manifest.write_text("".join(n + "\n" for n in digests), encoding="utf-8")
+    return digests
 
 
-def load_slices(outdir: Path, expected_params: Optional[BloomParams] = None) -> list[SPBFSlice]:
-    """Read slices written by ``write_slices``. A missing or unreadable
-    directory, manifest or slice file, a malformed or truncated slice, or
-    filter parameters other than ``expected_params`` raise ``SliceStoreError``
-    naming the path."""
+def load_slices(outdir: Path, digests: dict[str, str],
+                expected_params: Optional[BloomParams] = None) -> list[SPBFSlice]:
+    """Read slices written by ``write_slices``, each file checked against its
+    SHA-256 in ``digests`` (by file name) before it is decoded. A missing or
+    unreadable directory, manifest or slice file, a slice file without its
+    digest, a malformed or truncated slice, or filter parameters other than
+    ``expected_params`` raise ``SliceStoreError`` naming the path."""
     outdir = Path(outdir)
     manifest = outdir / "index.manifest"
     try:
@@ -156,6 +161,8 @@ def load_slices(outdir: Path, expected_params: Optional[BloomParams] = None) -> 
         if name.strip():
             path = outdir / name
             data = _read_bytes(path)
+            if hashlib.sha256(data).hexdigest() != digests.get(name):
+                raise SliceStoreError(f"{path} does not have its recorded SHA-256")
             try:
                 out.append(slice_from_bytes(data, expected_params))
             except ValueError as e:

@@ -390,15 +390,15 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
     """Write a network's state file. A network holding fragments also gets
     one index slice per fragment (its filter and holders) in a directory
     named after the state file plus ``.slices``, and the state pins each
-    fragment's N-Triples file by SHA-256. Directories are recorded relative to
-    the state file's directory."""
+    slice file and each fragment's N-Triples file by SHA-256. Directories are
+    recorded relative to the state file's directory."""
     path = Path(path)
     cfg = net.config
-    slices_dir = None
+    slices_dir, slice_digests = None, {}
     if net.allocation:
         slices_dir = path.with_name(path.name + ".slices")
-        write_slices((SPBFSlice(fid, net.filters[fid], holders)
-                      for fid, holders in net.allocation.items()), slices_dir)
+        slice_digests = write_slices((SPBFSlice(fid, net.filters[fid], holders)
+                                      for fid, holders in net.allocation.items()), slices_dir)
     state = {
         "config": {
             "node_count": cfg.node_count,
@@ -416,6 +416,7 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
                                           os.path.abspath(path.parent))
                           if fragments_dir else None),
         "slices_dir": slices_dir.name if slices_dir else None,
+        "slice_digests": slice_digests,
         "fragment_digests": {fid: net.fragments[fid].file_digest()
                              for fid in sorted(net.allocation)},
     }
@@ -430,8 +431,9 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
     fragment directory, each file checked against its recorded digest, and
     each parsed only when first used. Directories resolve against the state
     file's directory. A state file that cannot be read, lacks a field or
-    names a neighbour that is not a node, unreadable or mismatched slices,
-    and missing or changed fragment files raise ``StateFileError``.
+    names a neighbour that is not a node, unreadable, mismatched or changed
+    slice files, and missing or changed fragment files raise
+    ``StateFileError``.
     """
     path = Path(path)
     try:
@@ -455,6 +457,7 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
         fragments_dir = _beside(path, state.get("fragments_dir"))
         slices_dir = _beside(path, state.get("slices_dir"))
         digests = {fid: d for fid, d in state.get("fragment_digests", {}).items()}
+        slice_digests = {name: d for name, d in state.get("slice_digests", {}).items()}
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise StateFileError(f"malformed state file {path}: {type(e).__name__} {e}") from e
     if not allocation:
@@ -463,9 +466,10 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
         raise StateFileError(f"state file {path} names no index slices; "
                              "re-run `starbloom network create`")
     try:
-        slices = load_slices(slices_dir, expected_params=config.bloom)
+        slices = load_slices(slices_dir, slice_digests, expected_params=config.bloom)
     except SliceStoreError as e:
-        raise StateFileError(f"cannot read index slices of state file {path}: {e}") from e
+        raise StateFileError(f"cannot read index slices of state file {path}: {e}; "
+                             "re-run `starbloom network create`") from e
     if {s.fragment_id: set(s.holders) for s in slices} != \
             {fid: set(h) for fid, h in allocation.items()}:
         raise StateFileError(f"index slices in {slices_dir} do not match "

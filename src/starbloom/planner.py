@@ -3,6 +3,7 @@ and delegation-aware construction of left-deep execution plans."""
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -66,10 +67,14 @@ def compatibility_graph(query_or_stars, index: SPBFIndex,
     """Source selection: keep only fragments that can contribute to a full
     answer, connecting fragment pairs whose join-variable filters intersect.
 
-    Branches grow recursively from the star with the lowest estimated
-    cardinality; fragments on branches that dead-end are dropped. Star groups
-    without shared variables combine with all-pairs edges. An empty graph
-    means the answer is provably empty.
+    Stars fall into join-connected groups, and each group is walked from its
+    star with the lowest estimated cardinality. A fragment of a star survives
+    when no star left to visit joins that star, or when some joining star has
+    a fragment whose filters overlap it and that survives with that star
+    visited; each surviving pair is an edge. Each (stars left, fragment, star)
+    state is decided once. Fragments of different groups are connected
+    pairwise (a Cartesian product). An empty graph means the answer is
+    provably empty.
     """
     if isinstance(query_or_stars, Query):
         stars = star_decompose(query_or_stars.bgp)
@@ -79,67 +84,46 @@ def compatibility_graph(query_or_stars, index: SPBFIndex,
         raise ValueError("cannot plan an empty pattern")
 
     relevant = {st.key: tuple(index.relevant_fragments(st)) for st in stars}
+    kept: dict[str, set[str]] = {st.key: set() for st in stars}
+    edges: set[tuple[str, str]] = set()
+    decided: dict[tuple[frozenset[str], str, str], bool] = {}
 
-    def estimated(st: StarPattern) -> float:
-        return ordered_sum(card_star(st, index.spbf(fid), distinct) for fid in relevant[st.key])
+    def survives(left: frozenset[str], fid: str, star: StarPattern) -> bool:
+        key = (left, fid, star.key)
+        if key not in decided:
+            joining = [st for st in stars if st.key in left and _vars_overlap(star, st)]
+            alive = not joining
+            for nxt in joining:
+                shared = sorted(star.variables() & nxt.variables())
+                for fid2 in relevant[nxt.key]:
+                    if (_filters_overlap(index, fid, star, fid2, nxt, shared)
+                            and survives(left - {nxt.key}, fid2, nxt)):
+                        kept[nxt.key].add(fid2)
+                        edges.add(tuple(sorted((fid, fid2))))
+                        alive = True
+            decided[key] = alive
+        return decided[key]
 
-    def build_branch(remaining: list[StarPattern], fid: str,
-                     star: StarPattern) -> tuple[set[str], set[tuple[str, str]]]:
-        joining = [st for st in remaining if _vars_overlap(star, st)]
-        if not joining:
-            return {fid}, set()
-        frags: set[str] = set()
-        edges: set[tuple[str, str]] = set()
-        for nxt in joining:
-            shared = sorted(star.variables() & nxt.variables())
-            rest = [st for st in remaining if st.key != nxt.key]
-            for fid2 in relevant[nxt.key]:
-                if not _filters_overlap(index, fid, star, fid2, nxt, shared):
-                    continue
-                sub_frags, sub_edges = build_branch(rest, fid2, nxt)
-                if sub_frags:
-                    frags |= sub_frags | {fid}
-                    edges |= sub_edges | {tuple(sorted((fid, fid2)))}
-        return frags, edges
+    groups: list[set[str]] = []  # surviving fragments of each join-connected group
+    todo = list(stars)
+    while todo:
+        group = [todo.pop(0)]
+        for st in group:  # grows until no star left in todo joins it
+            group += [o for o in todo if _vars_overlap(st, o)]
+            todo = [o for o in todo if o not in group]
+        seed = min(group, key=lambda st: (ordered_sum(
+            card_star(st, index.spbf(fid), distinct) for fid in relevant[st.key]), st.key))
+        left = frozenset(st.key for st in group) - {seed.key}
+        kept[seed.key].update(fid for fid in relevant[seed.key] if survives(left, fid, seed))
+        groups.append(set().union(*(kept[st.key] for st in group)))
 
-    def component(seed: StarPattern, pool: list[StarPattern]) -> list[StarPattern]:
-        todo = [seed]
-        seen = {seed.key}
-        while todo:
-            cur = todo.pop()
-            for st in pool:
-                if st.key not in seen and _vars_overlap(cur, st):
-                    seen.add(st.key)
-                    todo.append(st)
-        return [st for st in pool if st.key in seen]
-
-    def build(pool: list[StarPattern]) -> tuple[set[str], set[tuple[str, str]]]:
-        seed = min(pool, key=lambda st: (estimated(st), st.key))
-        comp = component(seed, pool)
-        others = [st for st in comp if st.key != seed.key]
-        frags: set[str] = set()
-        edges: set[tuple[str, str]] = set()
-        for fid in relevant[seed.key]:
-            sub_frags, sub_edges = build_branch(others, fid, seed)
-            frags |= sub_frags
-            edges |= sub_edges
-        if not frags:
-            return set(), set()
-        rest = [st for st in pool if st.key not in {c.key for c in comp}]
-        if rest:
-            sub_frags, sub_edges = build(rest)
-            if not sub_frags:
-                return set(), set()
-            edges |= {tuple(sorted((a, b))) for a in frags for b in sub_frags}
-            frags |= sub_frags
-            edges |= sub_edges
-        return frags, edges
-
-    frags, edges = build(list(stars))
+    frags = set().union(*groups)
     star_frags = {st.key: tuple(f for f in relevant[st.key] if f in frags) for st in stars}
-    if any(not fids for fids in star_frags.values()):
-        # a star with no surviving fragment makes the whole answer empty
+    if not all(groups) or not all(star_frags.values()):
+        # a group or star with no surviving fragment makes the whole answer empty
         return CompatibilityGraph(tuple(stars), {st.key: () for st in stars}, frozenset())
+    edges.update(tuple(sorted((a, b)))
+                 for one, other in itertools.combinations(groups, 2) for a in one for b in other)
     return CompatibilityGraph(tuple(stars), star_frags, frozenset(edges))
 
 

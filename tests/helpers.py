@@ -9,8 +9,8 @@ import random
 from pathlib import Path
 from typing import Iterable, Optional
 
-from starbloom.bloom import BloomParams, ExactBitset, SPBF
-from starbloom.cardinality import PlanContext
+from starbloom.bloom import BloomParams, ExactBitset, SPBF, ordered_sum
+from starbloom.cardinality import PlanContext, card_star
 from starbloom.fragments import fragment_by_cs
 from starbloom.index import SPBFIndex, SPBFSlice
 from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple,
@@ -18,8 +18,8 @@ from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple
                              star_decompose)
 from starbloom.netsim import Network, NetworkConfig, network_from_layout, place_fragments
 from starbloom.ntriples import parse_ntriples
-from starbloom.planner import (DPEntry, OptimizeResult, _Planner,
-                               compatibility_graph)
+from starbloom.planner import (CompatibilityGraph, DPEntry, OptimizeResult, _Planner,
+                               _filters_overlap, _vars_overlap, compatibility_graph)
 from starbloom.plans import EmptyPlan
 from starbloom.sparql import parse_query
 
@@ -268,6 +268,91 @@ def reference_optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeR
     return OptimizeResult(final, table, compat, ctx, origin)
 
 
+def reference_compatibility_graph(query_or_stars, index: SPBFIndex,
+                                  distinct: bool = False) -> CompatibilityGraph:
+    """Recursive source selection, as ``compatibility_graph`` computed it
+    before each (stars left, fragment, star) state was decided once: every
+    path of stars from the seed is walked again and its fragment and edge
+    sets are merged. ``compatibility_graph`` must give the same ``stars``,
+    ``star_fragments`` and ``edges``.
+
+    Branches grow recursively from the star with the lowest estimated
+    cardinality; fragments on branches that dead-end are dropped. Star groups
+    without shared variables combine with all-pairs edges. An empty graph
+    means the answer is provably empty.
+    """
+    if isinstance(query_or_stars, Query):
+        stars = star_decompose(query_or_stars.bgp)
+    else:
+        stars = list(query_or_stars)
+    if not stars:
+        raise ValueError("cannot plan an empty pattern")
+
+    relevant = {st.key: tuple(index.relevant_fragments(st)) for st in stars}
+
+    def estimated(st: StarPattern) -> float:
+        return ordered_sum(card_star(st, index.spbf(fid), distinct) for fid in relevant[st.key])
+
+    def build_branch(remaining: list[StarPattern], fid: str,
+                     star: StarPattern) -> tuple[set[str], set[tuple[str, str]]]:
+        joining = [st for st in remaining if _vars_overlap(star, st)]
+        if not joining:
+            return {fid}, set()
+        frags: set[str] = set()
+        edges: set[tuple[str, str]] = set()
+        for nxt in joining:
+            shared = sorted(star.variables() & nxt.variables())
+            rest = [st for st in remaining if st.key != nxt.key]
+            for fid2 in relevant[nxt.key]:
+                if not _filters_overlap(index, fid, star, fid2, nxt, shared):
+                    continue
+                sub_frags, sub_edges = build_branch(rest, fid2, nxt)
+                if sub_frags:
+                    frags |= sub_frags | {fid}
+                    edges |= sub_edges | {tuple(sorted((fid, fid2)))}
+        return frags, edges
+
+    def component(seed: StarPattern, pool: list[StarPattern]) -> list[StarPattern]:
+        todo = [seed]
+        seen = {seed.key}
+        while todo:
+            cur = todo.pop()
+            for st in pool:
+                if st.key not in seen and _vars_overlap(cur, st):
+                    seen.add(st.key)
+                    todo.append(st)
+        return [st for st in pool if st.key in seen]
+
+    def build(pool: list[StarPattern]) -> tuple[set[str], set[tuple[str, str]]]:
+        seed = min(pool, key=lambda st: (estimated(st), st.key))
+        comp = component(seed, pool)
+        others = [st for st in comp if st.key != seed.key]
+        frags: set[str] = set()
+        edges: set[tuple[str, str]] = set()
+        for fid in relevant[seed.key]:
+            sub_frags, sub_edges = build_branch(others, fid, seed)
+            frags |= sub_frags
+            edges |= sub_edges
+        if not frags:
+            return set(), set()
+        rest = [st for st in pool if st.key not in {c.key for c in comp}]
+        if rest:
+            sub_frags, sub_edges = build(rest)
+            if not sub_frags:
+                return set(), set()
+            edges |= {tuple(sorted((a, b))) for a in frags for b in sub_frags}
+            frags |= sub_frags
+            edges |= sub_edges
+        return frags, edges
+
+    frags, edges = build(list(stars))
+    star_frags = {st.key: tuple(f for f in relevant[st.key] if f in frags) for st in stars}
+    if any(not fids for fids in star_frags.values()):
+        # a star with no surviving fragment makes the whole answer empty
+        return CompatibilityGraph(tuple(stars), {st.key: () for st in stars}, frozenset())
+    return CompatibilityGraph(tuple(stars), star_frags, frozenset(edges))
+
+
 # -- random small instances -------------------------------------------------------
 
 
@@ -319,6 +404,36 @@ def random_components_query(rng: random.Random, preds: list[str]) -> Query:
             patterns.append(TriplePattern(subject, iri(rng.choice(preds)), obj))
             links.append(obj)
     return Query(bgp=tuple(patterns), distinct=rng.random() < 0.5)
+
+
+def many_fragments_graph(rng: random.Random, n_subjects: int, n_predicates: int,
+                         p: float) -> KnowledgeGraph:
+    """Each subject takes each of ``n_predicates`` predicates with probability
+    ``p`` (at least one), always with a random subject as the object. Nearly
+    every characteristic set then occurs, so a star of a few predicates
+    matches many fragments, and stars chain through their objects."""
+    preds = [f"http://ex/p{i}" for i in range(n_predicates)]
+    subjects = [iri(f"http://ex/s{i}") for i in range(n_subjects)]
+    triples = []
+    for s in subjects:
+        chosen = [q for q in preds if rng.random() < p] or [rng.choice(preds)]
+        triples.extend(Triple(s, iri(q), rng.choice(subjects)) for q in chosen)
+    return KnowledgeGraph(triples)
+
+
+def chain_query(stars: int, preds_per_star: int) -> str:
+    """SPARQL text of a chain of ``stars`` stars over ``many_fragments_graph``
+    predicates: star i uses its own predicates, and the object of its last
+    one is the subject of star i + 1."""
+    patterns = []
+    p = 0
+    for i in range(stars):
+        for j in range(preds_per_star):
+            last = j == preds_per_star - 1 and i < stars - 1
+            obj = f"?s{i + 1}" if last else f"?o{i}_{j}"
+            patterns.append(f"  ?s{i} <http://ex/p{p}> {obj} .\n")
+            p += 1
+    return "SELECT * WHERE {\n" + "".join(patterns) + "}\n"
 
 
 def random_network(rng: random.Random, graph, min_subjects: int = 1) -> Network:

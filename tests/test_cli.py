@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -156,7 +157,9 @@ class TestIndexCommand:
                      "--bloom-m", "4096", "--bloom-k", "3"]) == EXIT_OK
         assert (out / "index.manifest").exists()
         from starbloom.index import load_slices
-        assert len(load_slices(out)) == 5
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out.glob("*.slice")}
+        assert len(load_slices(out, digests)) == 5
 
     @pytest.mark.parametrize("broken", [
         "missing directory", "missing manifest",
@@ -397,8 +400,9 @@ class TestPersistedState:
         assert (elsewhere / "rows.tsv").read_text(encoding="utf-8") == oracle_rows()
 
     @pytest.mark.parametrize("broken", [
-        "no slice directory", "truncated slice", "other bloom m", "no slices named",
-        "edited fragment", "missing fragment", "unknown neighbour"])
+        "no slice directory", "truncated slice", "flipped filter bit", "other bloom m",
+        "no slices named", "no slice digests", "edited fragment", "missing fragment",
+        "unknown neighbour"])
     def test_broken_persisted_state_exit_code(self, created, broken):
         tmp_path, state, query = created
         slices = tmp_path / "net.json.slices"
@@ -410,13 +414,24 @@ class TestPersistedState:
             first = sorted(slices.glob("*.slice"))[0]
             first.write_bytes(first.read_bytes()[:40])
             expected = first.name
-        elif broken in ("other bloom m", "no slices named", "unknown neighbour"):
+        elif broken == "flipped filter bit":
+            first = sorted(slices.glob("*.slice"))[0]
+            data = bytearray(first.read_bytes())
+            data[-1] ^= 1  # the last object filter's bits: the slice still decodes
+            first.write_bytes(bytes(data))
+            expected = (f"{first.name} does not have its recorded SHA-256; "
+                        "re-run `starbloom network create`")
+        elif broken in ("other bloom m", "no slices named", "no slice digests",
+                        "unknown neighbour"):
             data = json.loads(state.read_text(encoding="utf-8"))
             if broken == "other bloom m":
                 data["config"]["bloom"]["m"] = 2048
             elif broken == "unknown neighbour":
                 data["topology"]["n1"][0] = "n6"
                 expected = "unknown neighbours: ['n6']"
+            elif broken == "no slice digests":
+                del data["slice_digests"]
+                expected = "re-run `starbloom network create`"
             else:
                 del data["slices_dir"]
                 expected = "network create"

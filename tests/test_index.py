@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -144,8 +145,8 @@ def test_monotone_under_added_constants(running_index, stars):
 def test_slice_files_round_trip(tmp_path):
     _, frags, index = random_fragment_universe(3)
     slices = list(index.slices.values())
-    write_slices(slices, tmp_path)
-    loaded = load_slices(tmp_path, expected_params=PARAMS)
+    digests = write_slices(slices, tmp_path)
+    loaded = load_slices(tmp_path, digests, expected_params=PARAMS)
     assert {s.fragment_id for s in loaded} == {s.fragment_id for s in slices}
     by_id = {s.fragment_id: s for s in loaded}
     for s in slices:
@@ -164,11 +165,11 @@ def test_every_truncated_slice_raises_value_error():
 
 @pytest.mark.parametrize("broken", [
     "missing directory", "missing manifest", "missing slice", "truncated slice",
-    "other parameters"])
+    "changed slice", "other parameters"])
 def test_load_slices_errors_name_the_path(tmp_path, broken):
     _, _, index = random_fragment_universe(3)
     outdir = tmp_path / "slices"
-    write_slices(index.slices.values(), outdir)
+    digests = write_slices(index.slices.values(), outdir)
     first = outdir / (min(index.slices) + ".slice")
     params, named = PARAMS, first
     if broken == "missing directory":
@@ -180,7 +181,13 @@ def test_load_slices_errors_name_the_path(tmp_path, broken):
         first.unlink()
     elif broken == "truncated slice":
         first.write_bytes(first.read_bytes()[:40])
+        digests[first.name] = hashlib.sha256(first.read_bytes()).hexdigest()
+    elif broken == "changed slice":
+        data = bytearray(first.read_bytes())
+        data[-1] ^= 1  # a filter bit: the slice still decodes
+        first.write_bytes(bytes(data))
+        assert slice_from_bytes(bytes(data), expected_params=PARAMS)
     else:
         params = BloomParams(m=2048, k=3)
     with pytest.raises(SliceStoreError, match=str(named)):
-        load_slices(outdir, expected_params=params)
+        load_slices(outdir, digests, expected_params=params)

@@ -4,11 +4,16 @@ import time
 
 import pytest
 
-from helpers import (build_running_network, exact_running_index,
-                     random_components_query as _random_query, random_graph,
-                     random_network, random_star_query, reference_optimize)
+from helpers import (build_running_network, chain_query, exact_running_index,
+                     many_fragments_graph, random_components_query as _random_query,
+                     random_graph, random_network, random_star_query,
+                     reference_compatibility_graph, reference_optimize)
+from starbloom import planner
+from starbloom.bloom import BloomParams, build_spbf
 from starbloom.cardinality import PlanContext
-from starbloom.model import star_decompose
+from starbloom.fragments import fragment_by_cs, merge_infrequent
+from starbloom.index import SPBFIndex, SPBFSlice
+from starbloom.model import Query, TriplePattern, Variable, iri, star_decompose
 from starbloom.planner import (compatibility_graph, cost, explain,
                                node_sort_key, optimize, transfer_cost)
 from starbloom.plans import (Cartesian, EmptyPlan, Join, Selection, Union_,
@@ -75,6 +80,82 @@ class TestCompatibilityGraph:
                 if truly_joins:
                     assert cg.joins(f1, f2) or f1 == f2, \
                         "compatibility pruning dropped a truly joining pair"
+
+    def test_matches_recursive_reference(self):
+        """On random graphs merged at 1 and 3 and filters of 64 or 4096 bits,
+        with DISTINCT on and off, source selection gives the recursive
+        builder's stars, surviving fragments and edges. Half the queries are
+        star trees with Cartesian components, half arbitrary BGPs."""
+        seen = {"nonempty": 0, "components": 0, "cycles": 0}
+        for seed in range(30):
+            rng = random.Random(9100 + seed)
+            preds = [f"http://ex/p{i}" for i in range(rng.randint(3, 4))]
+            graph = random_graph(rng, n_subjects=rng.randint(8, 20), predicates=preds,
+                                 max_triples=120)
+            frags, _ = merge_infrequent(fragment_by_cs(graph), rng.choice([1, 3]))
+            index = _index(frags, BloomParams(m=rng.choice([64, 4096]), k=3))
+            constants = sorted({t.lexical for tr in graph.triples for t in (tr.s, tr.o)})
+            for i in range(10):
+                query = _random_query(rng, preds) if i % 2 else _random_bgp(rng, preds, constants)
+                stars = star_decompose(query.bgp)
+                for distinct in (False, True):
+                    want = reference_compatibility_graph(query, index, distinct)
+                    got = compatibility_graph(query, index, distinct)
+                    assert (got.stars, got.star_fragments, got.edges) == \
+                        (want.stars, want.star_fragments, want.edges), f"seed {seed}, query {i}"
+                seen["nonempty"] += not got.is_empty()
+                seen["components"] += _components(stars) > 1
+                seen["cycles"] += _link_count(stars) >= len(stars)
+        assert seen["nonempty"] >= 150 and min(seen.values()) >= 20, seen
+
+    def test_each_fragment_pair_is_tested_once(self, monkeypatch):
+        """A 4-star chain whose stars each match about half of 63 fragments:
+        the filters of each (fragment, star, fragment, joining star) pair are
+        intersected at most once. Walking every path from the seed repeats
+        them, so the counter stops such a walk at its first repeat."""
+        frags = fragment_by_cs(many_fragments_graph(random.Random(3), 400, 6, 0.5))
+        assert len(frags) >= 40
+        index = _index(frags, BloomParams(m=128, k=3))
+        tested = set()
+        overlap = planner._filters_overlap
+
+        def once(index, f1, star1, f2, star2, shared):
+            pair = (f1, star1.key, f2, star2.key)
+            if pair in tested:
+                raise AssertionError(f"filters of {pair} intersected twice")
+            tested.add(pair)
+            return overlap(index, f1, star1, f2, star2, shared)
+
+        monkeypatch.setattr(planner, "_filters_overlap", once)
+        cg = compatibility_graph(parse_query(chain_query(4, 1)), index)
+        assert len(tested) > 2000 and len(cg.edges) > 1000
+
+
+def _index(frags, params: BloomParams) -> SPBFIndex:
+    return SPBFIndex({f.id: SPBFSlice(f.id, build_spbf(f, params), ("n1",)) for f in frags})
+
+
+def _random_bgp(rng: random.Random, preds: list[str], constants: list[str]) -> Query:
+    """1-6 triple patterns over four variables, so that cycles, object-object
+    joins and Cartesian components occur; some subjects and objects are
+    constants and some predicates variables."""
+    names = [Variable(f"v{i}") for i in range(4)]
+
+    def term():
+        return iri(rng.choice(constants)) if rng.random() < 0.15 else rng.choice(names)
+
+    patterns = []
+    for _ in range(rng.randint(1, 6)):
+        pred = rng.choice(names) if rng.random() < 0.1 else iri(rng.choice(preds))
+        patterns.append(TriplePattern(term(), pred, term()))
+    return Query(bgp=tuple(dict.fromkeys(patterns)))
+
+
+def _link_count(stars) -> int:
+    """Pairs of stars that share a variable; as many as there are stars means
+    the join graph has a cycle."""
+    return sum(bool(a.variables() & b.variables())
+               for a, b in itertools.combinations(stars, 2))
 
 
 def sel(stars, key, fid, node):
