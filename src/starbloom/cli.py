@@ -1,5 +1,5 @@
-"""Command line: fragment data, build index slices, create/load networks,
-plan and run queries."""
+"""Command line: fragment data, create networks (state file, filter files)
+and load them, plan and run queries."""
 
 from __future__ import annotations
 
@@ -8,10 +8,9 @@ import json
 import sys
 from pathlib import Path
 
-from .bloom import BloomParams, build_spbf
+from .bloom import BloomParams
 from .fragments import (DEFAULT_MIN_SUBJECTS, fragment_by_cs, load_fragments,
                         merge_infrequent, merge_to_count, write_fragments)
-from .index import SPBFSlice, write_slices
 from .netsim import (NetworkConfig, create_network, dump_network, load_network,
                      place_fragments, run_query)
 from .ntriples import NTriplesError, parse_ntriples
@@ -69,33 +68,6 @@ def cmd_fragment(args: argparse.Namespace) -> int:
     for key in sorted(buckets, key=lambda k: int(k[2:])):
         print(f"  subjects {key}: {buckets[key]} fragment(s)")
     return EXIT_OK
-
-
-def cmd_index(args: argparse.Namespace) -> int:
-    frags = load_fragments(Path(args.fragments))
-    params = BloomParams(m=args.bloom_m, k=args.bloom_k)
-    holders = _read_holders(Path(args.holders)) if args.holders else {}
-    slices = []
-    for f in frags:
-        hs = tuple(holders.get(f.id, ("local",)))
-        slices.append(SPBFSlice(f.id, build_spbf(f, params), hs))
-    write_slices(slices, Path(args.outdir))
-    print(f"slices: {len(slices)}")
-    return EXIT_OK
-
-
-def _read_holders(path: Path) -> dict[str, list[str]]:
-    """A JSON object mapping fragment ids to non-empty lists of node ids."""
-    try:
-        holders = json.loads(_read_text(path))
-    except ValueError as e:
-        raise DataError(f"holders file {path} is not JSON: {e}") from e
-    if not (isinstance(holders, dict) and all(
-            isinstance(hs, list) and hs and all(isinstance(h, str) for h in hs)
-            for hs in holders.values())):
-        raise DataError(f"holders file {path} must map fragment ids to "
-                        "non-empty lists of node ids")
-    return holders
 
 
 def _network_config(args: argparse.Namespace) -> NetworkConfig:
@@ -196,15 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--min-subjects", type=int, default=DEFAULT_MIN_SUBJECTS)
     group.add_argument("--target-count", type=int, default=None)
     p.set_defaults(func=cmd_fragment)
-
-    p = sub.add_parser("index", help="build filter slices for a fragment directory")
-    p.add_argument("fragments", type=Path)
-    p.add_argument("outdir", type=Path)
-    p.add_argument("--holders", type=Path, default=None,
-                   help="JSON file mapping fragment id to holder node ids")
-    p.add_argument("--bloom-m", type=int, default=20000)
-    p.add_argument("--bloom-k", type=int, default=5)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("network", help="create or inspect a simulated network")
     netsub = p.add_subparsers(dest="network_command", required=True)

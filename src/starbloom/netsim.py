@@ -4,6 +4,7 @@ execution with bind joins, and message/byte accounting."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import random
@@ -13,12 +14,11 @@ from math import ceil
 from pathlib import Path
 from typing import Iterable, Optional
 
-from .bloom import SPBF, BloomParams, build_spbf
+from .bloom import SPBF, BloomParams, build_spbf, spbf_from_bytes, spbf_to_bytes
 from .fragments import (DEFAULT_MIN_SUBJECTS, Fragment, FragmentStoreError,
                         fragment_by_cs, merge_infrequent, merge_to_count,
                         open_fragments)
-from .index import (SPBFIndex, SPBFSlice, SliceStoreError, combine,
-                    load_slices, write_slices)
+from .index import SPBFIndex, SPBFSlice, combine
 from .model import (Binding, KnowledgeGraph, Query, match_star,
                     project_bindings)
 from .planner import (CompatibilityGraph, OptimizeResult, baseline_plan,
@@ -385,20 +385,23 @@ def run_baseline(net: Network, query: Query, origin: str) -> tuple[list[Binding]
 
 # -- state files ---------------------------------------------------------------
 
+_RECREATE = "re-run `starbloom network create`"
+
 
 def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None) -> None:
     """Write a network's state file. A network holding fragments also gets
-    one index slice per fragment (its filter and holders) in a directory
-    named after the state file plus ``.slices``, and the state pins each
-    slice file and each fragment's N-Triples file by SHA-256. Directories are
-    recorded relative to the state file's directory."""
+    one filter file per fragment in a directory named after the state file
+    plus ``.filters``, and the state pins each filter file and each
+    fragment's N-Triples file by SHA-256, keyed by fragment id. Holders are
+    recorded only in the allocation. Directories are recorded relative to
+    the state file's directory."""
     path = Path(path)
     cfg = net.config
-    slices_dir, slice_digests = None, {}
+    filters_dir, filter_digests = None, {}
     if net.allocation:
-        slices_dir = path.with_name(path.name + ".slices")
-        slice_digests = write_slices((SPBFSlice(fid, net.filters[fid], holders)
-                                      for fid, holders in net.allocation.items()), slices_dir)
+        filters_dir = path.with_name(path.name + ".filters")
+        filter_digests = write_filters({fid: net.filters[fid] for fid in net.allocation},
+                                       filters_dir)
     state = {
         "config": {
             "node_count": cfg.node_count,
@@ -415,8 +418,8 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
         "fragments_dir": (os.path.relpath(os.path.abspath(fragments_dir),
                                           os.path.abspath(path.parent))
                           if fragments_dir else None),
-        "slices_dir": slices_dir.name if slices_dir else None,
-        "slice_digests": slice_digests,
+        "filters_dir": filters_dir.name if filters_dir else None,
+        "filter_digests": filter_digests,
         "fragment_digests": {fid: net.fragments[fid].file_digest()
                              for fid in sorted(net.allocation)},
     }
@@ -426,20 +429,22 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
 def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> Network:
     """Rebuild a network from a state file written by ``dump_network``.
 
-    Nodes combine the filters of the state's index slices; no filter is
-    rebuilt. Unless ``fragments`` are given, they are opened from the state's
-    fragment directory, each file checked against its recorded digest, and
-    each parsed only when first used. Directories resolve against the state
-    file's directory. A state file that cannot be read, lacks a field or
-    names a neighbour that is not a node, unreadable, mismatched or changed
-    slice files, and missing or changed fragment files raise
-    ``StateFileError``.
+    Nodes combine the filters read from the state's filter files, one per
+    allocated fragment; no filter is rebuilt. Unless ``fragments`` are
+    given, they are opened from the state's fragment directory, each file
+    checked against its recorded digest, and each parsed only when first
+    used. Directories resolve against the state file's directory. A state
+    file that cannot be read, is not UTF-8 JSON, lacks a field or names a
+    neighbour that is not a node, filter files that ``load_filters``
+    rejects, and missing or changed fragment files raise ``StateFileError``.
     """
     path = Path(path)
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise StateFileError(f"cannot read state file {path}: {e.strerror}") from e
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise StateFileError(f"state file {path} is not UTF-8 JSON: {e}") from e
     try:
         c = state["config"]
         config = NetworkConfig(
@@ -455,25 +460,16 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
         net = network_from_layout(config, state["topology"])
         allocation = {fid: tuple(h) for fid, h in state["allocation"].items()}
         fragments_dir = _beside(path, state.get("fragments_dir"))
-        slices_dir = _beside(path, state.get("slices_dir"))
-        digests = {fid: d for fid, d in state.get("fragment_digests", {}).items()}
-        slice_digests = {name: d for name, d in state.get("slice_digests", {}).items()}
+        filters_dir = _beside(path, state.get("filters_dir"))
+        fragment_digests = dict(state.get("fragment_digests", {}))
+        filter_digests = dict(state.get("filter_digests", {}))
     except (KeyError, TypeError, AttributeError, ValueError) as e:
         raise StateFileError(f"malformed state file {path}: {type(e).__name__} {e}") from e
     if not allocation:
         return net
-    if slices_dir is None:
-        raise StateFileError(f"state file {path} names no index slices; "
-                             "re-run `starbloom network create`")
-    try:
-        slices = load_slices(slices_dir, slice_digests, expected_params=config.bloom)
-    except SliceStoreError as e:
-        raise StateFileError(f"cannot read index slices of state file {path}: {e}; "
-                             "re-run `starbloom network create`") from e
-    if {s.fragment_id: set(s.holders) for s in slices} != \
-            {fid: set(h) for fid, h in allocation.items()}:
-        raise StateFileError(f"index slices in {slices_dir} do not match "
-                             f"the allocation in state file {path}")
+    if filters_dir is None:
+        raise StateFileError(f"state file {path} names no filter directory; {_RECREATE}")
+    filters = load_filters(filters_dir, filter_digests, allocation, config.bloom)
     if fragments is None:
         if fragments_dir is None:
             raise StateFileError(f"state file {path} names no fragment directory")
@@ -482,20 +478,56 @@ def load_network(path: Path, fragments: Optional[Iterable[Fragment]] = None) -> 
         except FragmentStoreError as e:
             raise StateFileError(f"cannot read fragments of state file {path}: {e}") from e
         for f in fragments:
-            if f.id in allocation and f.file_digest() != digests.get(f.id):
+            if f.id in allocation and f.file_digest() != fragment_digests.get(f.id):
                 raise StateFileError(f"{f.path} changed after state file {path} was "
-                                     "written; re-run `starbloom network create`")
+                                     f"written; {_RECREATE}")
     by_id = {f.id: f for f in fragments}
     missing = set(allocation) - set(by_id)
     if missing:
-        raise StateFileError(f"state references unknown fragments: {sorted(missing)}")
+        raise StateFileError(f"state file {path} references unknown fragments: "
+                             f"{sorted(missing)}")
     try:
         _store_fragments(net, sorted((by_id[fid] for fid in allocation), key=Fragment.sort_key),
                          allocation)
     except SimulationError as e:
         raise StateFileError(f"malformed allocation in state file {path}: {e}") from e
-    net.rebuild_indexes({s.fragment_id: s.spbf for s in slices})
+    net.rebuild_indexes(filters)
     return net
+
+
+def write_filters(filters: dict[str, SPBF], outdir: Path) -> dict[str, str]:
+    """One file per fragment holding exactly ``spbf_to_bytes`` of its filter.
+    Returns the SHA-256 of each file by fragment id."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    digests = {}
+    for fid in sorted(filters):
+        data = spbf_to_bytes(filters[fid])
+        (outdir / f"{fid}.spbf").write_bytes(data)
+        digests[fid] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+def load_filters(outdir: Path, digests: dict[str, str], fragment_ids: Iterable[str],
+                 expected_params: BloomParams) -> dict[str, SPBF]:
+    """The filter of each fragment, read from the file ``write_filters``
+    wrote and checked against its SHA-256 in ``digests`` before it is
+    decoded. A missing file, a file without its recorded digest, and a
+    malformed or truncated filter or one with parameters other than
+    ``expected_params`` raise ``StateFileError`` naming the file."""
+    filters = {}
+    for fid in sorted(fragment_ids):
+        path = outdir / f"{fid}.spbf"
+        try:
+            data = path.read_bytes()
+        except OSError as e:
+            raise StateFileError(f"cannot read {path}: {e.strerror}; {_RECREATE}") from e
+        if hashlib.sha256(data).hexdigest() != digests.get(fid):
+            raise StateFileError(f"{path} does not have its recorded SHA-256; {_RECREATE}")
+        try:
+            filters[fid] = spbf_from_bytes(data, expected_params)
+        except ValueError as e:
+            raise StateFileError(f"{path}: {e}; {_RECREATE}") from e
+    return filters
 
 
 def _beside(state_path: Path, name: Optional[str]) -> Optional[Path]:

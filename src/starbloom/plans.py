@@ -101,10 +101,6 @@ def iter_selections(plan: Plan) -> Iterator[Selection]:
             yield from iter_selections(b)
 
 
-def plan_fragments(plan: Plan) -> set[str]:
-    return {sel.fragment for sel in iter_selections(plan)}
-
-
 def star_fragments(plan: Plan) -> dict[str, set[str]]:
     """Fragments appearing in the plan, grouped by star key."""
     out: dict[str, set[str]] = {}

@@ -20,7 +20,7 @@ from starbloom.netsim import Network, NetworkConfig, network_from_layout, place_
 from starbloom.ntriples import parse_ntriples
 from starbloom.planner import (CompatibilityGraph, DPEntry, OptimizeResult, _Planner,
                                _filters_overlap, _vars_overlap, compatibility_graph)
-from starbloom.plans import EmptyPlan
+from starbloom.plans import EmptyPlan, Plan, iter_selections
 from starbloom.sparql import parse_query
 
 DBO = "http://dbpedia.org/ontology/"
@@ -351,6 +351,11 @@ def reference_compatibility_graph(query_or_stars, index: SPBFIndex,
         # a star with no surviving fragment makes the whole answer empty
         return CompatibilityGraph(tuple(stars), {st.key: () for st in stars}, frozenset())
     return CompatibilityGraph(tuple(stars), star_frags, frozenset(edges))
+
+
+def plan_fragments(plan: Plan) -> set[str]:
+    """The fragments the plan's selections read."""
+    return {sel.fragment for sel in iter_selections(plan)}
 
 
 # -- random small instances -------------------------------------------------------

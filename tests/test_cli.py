@@ -1,4 +1,3 @@
-import hashlib
 import json
 import os
 import shutil
@@ -147,62 +146,6 @@ def test_unreadable_input_exit_code(tmp_path, command, bad):
     assert str(path) in proc.stderr
 
 
-class TestIndexCommand:
-    def test_build_slices(self, workspace, capsys):
-        tmp_path, data, _ = workspace
-        frag_dir = tmp_path / "frags"
-        main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
-        out = tmp_path / "slices"
-        assert main(["index", str(frag_dir), str(out),
-                     "--bloom-m", "4096", "--bloom-k", "3"]) == EXIT_OK
-        assert (out / "index.manifest").exists()
-        from starbloom.index import load_slices
-        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for p in out.glob("*.slice")}
-        assert len(load_slices(out, digests)) == 5
-
-    @pytest.mark.parametrize("broken", [
-        "missing directory", "missing manifest",
-        "no file", "no id", "no predicates", "no subject_count"])
-    def test_broken_fragment_directory_exit_code(self, workspace, broken):
-        tmp_path, data, _ = workspace
-        frag_dir = tmp_path / "frags"
-        if broken != "missing directory":
-            main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
-            manifest = frag_dir / "manifest.jsonl"
-            if broken == "missing manifest":
-                manifest.unlink()
-            else:
-                field = broken.split(" ", 1)[1]
-                lines = manifest.read_text(encoding="utf-8").splitlines()
-                meta = json.loads(lines[0])
-                del meta[field]
-                lines[0] = json.dumps(meta)
-                manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        proc = run_cli_subprocess(["index", str(frag_dir), str(tmp_path / "slices")])
-        assert proc.returncode == EXIT_DATA
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        expected = "manifest.jsonl" if broken.startswith("missing") else "line 1"
-        assert expected in proc.stderr
-
-    @pytest.mark.parametrize("holders", [
-        None, "not json", "[]", '{"x": "n1"}', '{"x": []}', '{"x": [1]}'])
-    def test_bad_holders_file_exit_code(self, workspace, holders):
-        tmp_path, data, _ = workspace
-        frag_dir = tmp_path / "frags"
-        main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
-        path = tmp_path / "holders.json"
-        if holders is not None:
-            path.write_text(holders, encoding="utf-8")
-        proc = run_cli_subprocess(["index", str(frag_dir), str(tmp_path / "slices"),
-                                   "--holders", str(path)])
-        assert proc.returncode == EXIT_DATA
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert str(path) in proc.stderr
-
-
 class TestNetworkCommand:
     def test_create_and_load(self, workspace, capsys):
         tmp_path, data, _ = workspace
@@ -230,6 +173,32 @@ class TestNetworkCommand:
             args[2] = str(path)
             assert main(args) == EXIT_OK
         assert a.read_text() == b.read_text()
+
+    @pytest.mark.parametrize("broken", [
+        "missing directory", "missing manifest",
+        "no file", "no id", "no predicates", "no subject_count"])
+    def test_broken_fragment_directory_exit_code(self, workspace, broken):
+        tmp_path, data, _ = workspace
+        frag_dir = tmp_path / "frags"
+        if broken != "missing directory":
+            main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
+            manifest = frag_dir / "manifest.jsonl"
+            if broken == "missing manifest":
+                manifest.unlink()
+            else:
+                field = broken.split(" ", 1)[1]
+                lines = manifest.read_text(encoding="utf-8").splitlines()
+                meta = json.loads(lines[0])
+                del meta[field]
+                lines[0] = json.dumps(meta)
+                manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        proc = run_cli_subprocess(["network", "create", str(tmp_path / "net.json"),
+                                   "--fragments", str(frag_dir), *CREATE_ARGS])
+        assert proc.returncode == EXIT_DATA
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        expected = "manifest.jsonl" if broken.startswith("missing") else "line 1"
+        assert expected in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["query", "plan"])
@@ -361,8 +330,9 @@ class TestQueryCommand:
 
 
 class TestPersistedState:
-    """``network create`` writes index slices beside the state file and pins
-    the fragment files by digest; ``query`` loads both."""
+    """``network create`` writes one filter file per fragment beside the state
+    file and pins them and the fragment files by digest; ``query`` loads
+    both."""
 
     @pytest.fixture()
     def created(self, workspace):
@@ -374,9 +344,9 @@ class TestPersistedState:
                      *CREATE_ARGS]) == EXIT_OK
         return tmp_path, state, query
 
-    def test_query_from_loaded_slices_matches_oracle(self, created):
+    def test_query_from_loaded_filters_matches_oracle(self, created):
         tmp_path, state, query = created
-        assert (tmp_path / "net.json.slices" / "index.manifest").exists()
+        assert len(list((tmp_path / "net.json.filters").iterdir())) == 5
         results = tmp_path / "rows.tsv"
         assert main(["query", str(query), "--state", str(state), "--node", "n1",
                      "--results", str(results), "--metrics", str(tmp_path / "m.json")]) == EXIT_OK
@@ -393,58 +363,68 @@ class TestPersistedState:
             proc = run_cli_subprocess(args, cwd=work)
             assert proc.returncode == EXIT_OK, proc.stderr
         state = json.loads((work / "state.json").read_text(encoding="utf-8"))
-        assert (state["fragments_dir"], state["slices_dir"]) == ("frags", "state.json.slices")
+        assert (state["fragments_dir"], state["filters_dir"]) == ("frags", "state.json.filters")
         proc = run_cli_subprocess(["query", str(query), "--state", str(work / "state.json"),
                                    "--node", "n1", "--results", "rows.tsv"], cwd=elsewhere)
         assert proc.returncode == EXIT_OK, proc.stderr
         assert (elsewhere / "rows.tsv").read_text(encoding="utf-8") == oracle_rows()
 
     @pytest.mark.parametrize("broken", [
-        "no slice directory", "truncated slice", "flipped filter bit", "other bloom m",
-        "no slices named", "no slice digests", "edited fragment", "missing fragment",
+        "no filter directory", "truncated filter", "flipped filter bit", "other bloom m",
+        "no filter directory named", "no filter digests", "old format state",
+        "state not utf-8", "state not json", "edited fragment", "missing fragment",
         "unknown neighbour"])
     def test_broken_persisted_state_exit_code(self, created, broken):
         tmp_path, state, query = created
-        slices = tmp_path / "net.json.slices"
+        filters = tmp_path / "net.json.filters"
+        first = sorted(filters.iterdir())[0]
         fragment = sorted((tmp_path / "frags").glob("*.nt"))[0]
-        expected = "slices"
-        if broken == "no slice directory":
-            shutil.rmtree(slices)
-        elif broken == "truncated slice":
-            first = sorted(slices.glob("*.slice"))[0]
+        recreate = "re-run `starbloom network create`"
+        expected = first.name
+        if broken == "no filter directory":
+            shutil.rmtree(filters)
+        elif broken == "truncated filter":
             first.write_bytes(first.read_bytes()[:40])
-            expected = first.name
         elif broken == "flipped filter bit":
-            first = sorted(slices.glob("*.slice"))[0]
             data = bytearray(first.read_bytes())
-            data[-1] ^= 1  # the last object filter's bits: the slice still decodes
+            data[-1] ^= 1  # the last object filter's bits: the file still decodes
             first.write_bytes(bytes(data))
-            expected = (f"{first.name} does not have its recorded SHA-256; "
-                        "re-run `starbloom network create`")
-        elif broken in ("other bloom m", "no slices named", "no slice digests",
-                        "unknown neighbour"):
+            expected = f"{first.name} does not have its recorded SHA-256; {recreate}"
+        elif broken == "state not utf-8":
+            state.write_bytes(state.read_bytes().replace(b'"n1"', b'"n\xff"', 1))
+            expected = f"state file {state} is not UTF-8 JSON"
+        elif broken == "state not json":
+            state.write_text(state.read_text(encoding="utf-8").replace('"n1"', '"n\t1"', 1),
+                             encoding="utf-8")
+            expected = f"state file {state} is not UTF-8 JSON: Invalid control character"
+        elif broken in ("edited fragment", "missing fragment"):
+            if broken == "edited fragment":
+                lines = fragment.read_text(encoding="utf-8").splitlines(keepends=True)
+                fragment.write_text("".join(lines[:-1]), encoding="utf-8")  # still valid
+            else:
+                fragment.unlink()
+            expected = fragment.name
+        else:
             data = json.loads(state.read_text(encoding="utf-8"))
             if broken == "other bloom m":
                 data["config"]["bloom"]["m"] = 2048
             elif broken == "unknown neighbour":
                 data["topology"]["n1"][0] = "n6"
                 expected = "unknown neighbours: ['n6']"
-            elif broken == "no slice digests":
-                del data["slice_digests"]
-                expected = "re-run `starbloom network create`"
+            elif broken == "no filter digests":
+                del data["filter_digests"]
+                expected = f"{first} does not have its recorded SHA-256; {recreate}"
             else:
-                del data["slices_dir"]
-                expected = "network create"
+                if broken == "old format state":
+                    data["slices_dir"] = "net.json.slices"
+                    data["slice_digests"] = {f"{fid}.slice": digest for fid, digest
+                                             in data.pop("filter_digests").items()}
+                del data["filters_dir"]
+                expected = f"{state} names no filter directory; {recreate}"
             state.write_text(json.dumps(data), encoding="utf-8")
-        elif broken == "edited fragment":
-            lines = fragment.read_text(encoding="utf-8").splitlines(keepends=True)
-            fragment.write_text("".join(lines[:-1]), encoding="utf-8")  # still valid
-            expected = fragment.name
-        else:
-            fragment.unlink()
-            expected = fragment.name
         proc = run_cli_subprocess(["query", str(query), "--state", str(state), "--node", "n1"])
         assert proc.returncode == EXIT_DATA
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+        assert str(tmp_path) in proc.stderr
         assert expected in proc.stderr

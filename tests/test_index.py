@@ -1,16 +1,16 @@
 import hashlib
 import random
+import re
 
 import pytest
 
 from helpers import AUTH, NAT, RUNNING_ALLOCATION
-from starbloom.bloom import BloomParams, build_spbf
+from starbloom.bloom import BloomParams, build_spbf, spbf_from_bytes, spbf_to_bytes
 from starbloom.fragments import fragment_by_cs
-from starbloom.index import (SliceStoreError, SPBFIndex, SPBFSlice,
-                             UnknownFragmentError, combine, load_slices,
-                             slice_from_bytes, slice_to_bytes, write_slices)
+from starbloom.index import SPBFIndex, SPBFSlice, UnknownFragmentError, combine
 from starbloom.model import (KnowledgeGraph, StarPattern, Triple, TriplePattern,
                              Variable, evaluate_bgp, iri)
+from starbloom.netsim import StateFileError, load_filters, write_filters
 
 PARAMS = BloomParams(m=4096, k=3)
 
@@ -142,52 +142,50 @@ def test_monotone_under_added_constants(running_index, stars):
     assert rel_narrow <= rel_base
 
 
-def test_slice_files_round_trip(tmp_path):
-    _, frags, index = random_fragment_universe(3)
-    slices = list(index.slices.values())
-    digests = write_slices(slices, tmp_path)
-    loaded = load_slices(tmp_path, digests, expected_params=PARAMS)
-    assert {s.fragment_id for s in loaded} == {s.fragment_id for s in slices}
-    by_id = {s.fragment_id: s for s in loaded}
-    for s in slices:
-        assert by_id[s.fragment_id].spbf == s.spbf
-        assert by_id[s.fragment_id].holders == s.holders
-
-
-def test_every_truncated_slice_raises_value_error():
+def test_filter_files_round_trip(tmp_path):
     _, _, index = random_fragment_universe(3)
-    data = slice_to_bytes(next(iter(index.slices.values())))
-    assert slice_from_bytes(data, expected_params=PARAMS).holders
+    filters = {fid: index.spbf(fid) for fid in index.fragment_ids()}
+    digests = write_filters(filters, tmp_path)
+    assert set(digests) == set(filters)
+    assert sorted(p.read_bytes() for p in tmp_path.iterdir()) == \
+        sorted(spbf_to_bytes(f) for f in filters.values())
+    assert load_filters(tmp_path, digests, filters, PARAMS) == filters
+
+
+def test_every_truncated_filter_raises_value_error():
+    _, _, index = random_fragment_universe(3)
+    data = spbf_to_bytes(index.spbf(index.fragment_ids()[0]))
+    assert spbf_from_bytes(data, expected_params=PARAMS).predicates
     for cut in range(len(data)):
         with pytest.raises(ValueError):
-            slice_from_bytes(data[:cut], expected_params=PARAMS)
+            spbf_from_bytes(data[:cut], expected_params=PARAMS)
 
 
 @pytest.mark.parametrize("broken", [
-    "missing directory", "missing manifest", "missing slice", "truncated slice",
-    "changed slice", "other parameters"])
-def test_load_slices_errors_name_the_path(tmp_path, broken):
+    "missing directory", "missing digest", "missing file", "truncated file",
+    "changed file", "other parameters"])
+def test_load_filters_errors_name_the_path(tmp_path, broken):
     _, _, index = random_fragment_universe(3)
-    outdir = tmp_path / "slices"
-    digests = write_slices(index.slices.values(), outdir)
-    first = outdir / (min(index.slices) + ".slice")
+    outdir = tmp_path / "filters"
+    digests = write_filters({fid: index.spbf(fid) for fid in index.fragment_ids()}, outdir)
+    first = sorted(outdir.iterdir())[0]
     params, named = PARAMS, first
     if broken == "missing directory":
-        outdir, named = tmp_path / "absent", tmp_path / "absent" / "index.manifest"
-    elif broken == "missing manifest":
-        named = outdir / "index.manifest"
-        named.unlink()
-    elif broken == "missing slice":
+        outdir = tmp_path / "absent"
+        named = outdir / first.name
+    elif broken == "missing digest":
+        del digests[min(digests)]
+    elif broken == "missing file":
         first.unlink()
-    elif broken == "truncated slice":
+    elif broken == "truncated file":
         first.write_bytes(first.read_bytes()[:40])
-        digests[first.name] = hashlib.sha256(first.read_bytes()).hexdigest()
-    elif broken == "changed slice":
+        digests[min(digests)] = hashlib.sha256(first.read_bytes()).hexdigest()
+    elif broken == "changed file":
         data = bytearray(first.read_bytes())
-        data[-1] ^= 1  # a filter bit: the slice still decodes
+        data[-1] ^= 1  # a filter bit: the file still decodes
         first.write_bytes(bytes(data))
-        assert slice_from_bytes(bytes(data), expected_params=PARAMS)
+        assert spbf_from_bytes(bytes(data), expected_params=PARAMS)
     else:
         params = BloomParams(m=2048, k=3)
-    with pytest.raises(SliceStoreError, match=str(named)):
-        load_slices(outdir, digests, expected_params=params)
+    with pytest.raises(StateFileError, match=re.escape(str(named))):
+        load_filters(outdir, digests, index.fragment_ids(), params)

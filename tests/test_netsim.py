@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import ceil
 
@@ -6,9 +8,9 @@ import pytest
 import starbloom.fragments as fragments_module
 import starbloom.netsim as netsim_module
 from helpers import (RUNNING_QUERY, RUNNING_QUERY_DISTINCT,
-                     build_running_network, create_connected, random_graph,
-                     random_network, random_star_query)
-from starbloom.bloom import BloomParams
+                     build_running_network, create_connected, plan_fragments,
+                     random_graph, random_network, random_star_query)
+from starbloom.bloom import BloomParams, spbf_to_bytes
 from starbloom.fragments import fragment_by_cs, write_fragments
 from starbloom.model import (KnowledgeGraph, Triple, bindings_multiset,
                              evaluate_bgp, iri)
@@ -18,7 +20,7 @@ from starbloom.netsim import (MESSAGE_HEADER_BYTES, NetworkConfig,
                               measure_relevance, network_from_layout,
                               place_fragments, run_query, upload)
 from starbloom.planner import explain, optimize
-from starbloom.plans import Join, Selection, plan_fragments
+from starbloom.plans import Join, Selection
 from starbloom.sparql import parse_query
 
 
@@ -366,29 +368,27 @@ class TestLoadedNetwork:
         with pytest.raises(StateFileError, match=path.name):
             load_network(state)
 
-    def test_state_without_slices_asks_to_recreate(self, tmp_path):
-        import json
+    def test_filter_files_hold_only_filters(self, tmp_path):
         net, _ = build_running_network(m=4096, k=3)
         state = persist(net, tmp_path)
         data = json.loads(state.read_text(encoding="utf-8"))
-        del data["slices_dir"]
+        encoded = {fid: spbf_to_bytes(net.filters[fid]) for fid in net.allocation}
+        files = (tmp_path / data["filters_dir"]).iterdir()
+        assert sorted(p.read_bytes() for p in files) == sorted(encoded.values())
+        assert data["filter_digests"] == {fid: hashlib.sha256(b).hexdigest()
+                                          for fid, b in encoded.items()}
+        assert data["allocation"] == {fid: list(h) for fid, h in net.allocation.items()}
+
+    def test_state_without_filters_asks_to_recreate(self, tmp_path):
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        data = json.loads(state.read_text(encoding="utf-8"))
+        del data["filters_dir"]
         state.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(StateFileError, match="network create"):
             load_network(state)
 
-    def test_allocation_differing_from_slices_is_a_state_error(self, tmp_path):
-        import json
-        net, _ = build_running_network(m=4096, k=3)
-        state = persist(net, tmp_path)
-        data = json.loads(state.read_text(encoding="utf-8"))
-        fid = min(data["allocation"])
-        data["allocation"][fid] = ["n1"]
-        state.write_text(json.dumps(data), encoding="utf-8")
-        with pytest.raises(StateFileError, match="do not match"):
-            load_network(state)
-
     def test_allocation_breaking_replication_is_a_state_error(self, tmp_path):
-        import json
         net, _ = build_running_network(m=4096, k=3)
         state = persist(net, tmp_path)
         data = json.loads(state.read_text(encoding="utf-8"))
