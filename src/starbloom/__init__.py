@@ -9,7 +9,7 @@ from .cardinality import (PlanContext, card_join_indexed, card_join_pair,
                           card_plan, card_star, card_star_indexed)
 from .fragments import (CharacteristicSet, Fragment, characteristic_set,
                         fragment_by_cs, merge_infrequent, merge_to_count)
-from .index import SPBFIndex, SPBFSlice, combine
+from .index import SPBFIndex, combine
 from .model import (KnowledgeGraph, Query, StarPattern, Term, Triple,
                     TriplePattern, Variable, evaluate_bgp, star_decompose)
 from .netsim import (Metrics, Network, NetworkConfig, create_network,

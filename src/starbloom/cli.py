@@ -100,8 +100,9 @@ def cmd_network_load(args: argparse.Namespace) -> int:
     print(f"nodes: {net.config.node_count}, fragments: {len(net.fragments)}")
     for nid in net.node_ids():
         node = net.nodes[nid]
+        stores = sum(nid in holders for holders in net.allocation.values())
         print(f"  {nid}: neighbors={','.join(node.neighbors)} "
-              f"stores={len(node.store)} indexed={len(node.index)}")
+              f"stores={stores} indexed={len(node.index)}")
     return EXIT_OK
 
 

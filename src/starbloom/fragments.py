@@ -137,9 +137,8 @@ def fragment_by_cs(graph: KnowledgeGraph) -> list[Fragment]:
     """One fragment per distinct characteristic set; fragments partition the graph."""
     groups: dict[CharacteristicSet, list[Triple]] = {}
     for s in graph.subjects():
-        triples = graph.triples_with_subject(s)
-        cs = CharacteristicSet.of(t.p.lexical for t in triples)
-        groups.setdefault(cs, []).extend(triples)
+        groups.setdefault(characteristic_set(s, graph), []).extend(
+            graph.triples_with_subject(s))
     frags = [Fragment.build(cs, ts) for cs, ts in groups.items()]
     frags.sort(key=Fragment.sort_key)
     return frags
@@ -205,7 +204,7 @@ def _move(frag: Fragment, pieces: list[tuple[tuple[str, ...], Fragment]],
     return left
 
 
-def merge_infrequent(fragments: Iterable[Fragment], min_subjects: int = DEFAULT_MIN_SUBJECTS
+def merge_infrequent(fragments: Iterable[Fragment], min_subjects: int
                      ) -> tuple[list[Fragment], MergeReport]:
     """Fold fragments with fewer than ``min_subjects`` subjects into larger ones.
 

@@ -1,9 +1,9 @@
-"""Per-fragment index slices and their combination into a node's index."""
+"""A node's index: a view of the network's fragment filters over the
+fragments stored within the node's horizon."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from .bloom import SPBF
 from .model import StarPattern, Term
@@ -11,20 +11,6 @@ from .model import StarPattern, Term
 
 class UnknownFragmentError(KeyError):
     pass
-
-
-@dataclass(frozen=True)
-class SPBFSlice:
-    """Everything one fragment contributes to an index: its filter and holders."""
-
-    fragment_id: str
-    spbf: SPBF
-    holders: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.holders:
-            raise ValueError("slice requires at least one holder")
-        object.__setattr__(self, "holders", tuple(sorted(set(self.holders))))
 
 
 def relevant_fragment(star: StarPattern, spbf: SPBF) -> bool:
@@ -45,45 +31,49 @@ def relevant_fragment(star: StarPattern, spbf: SPBF) -> bool:
 
 
 class SPBFIndex:
-    """Maps star patterns to possibly-matching fragments and fragments to holders."""
+    """Maps star patterns to possibly-matching fragments and fragments to holders.
 
-    def __init__(self, slices: Optional[dict[str, SPBFSlice]] = None):
-        self.slices: dict[str, SPBFSlice] = dict(slices or {})
+    ``filters`` is shared, not copied: it may hold fragments the node cannot
+    see. ``holders`` names the visible fragments, each with the holders the
+    node can see."""
+
+    def __init__(self, filters: dict[str, SPBF], holders: dict[str, tuple[str, ...]]):
+        self.filters = filters
+        self._holders = holders
+        self._ids = tuple(sorted(holders))
 
     def __len__(self) -> int:
-        return len(self.slices)
+        return len(self._ids)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, SPBFIndex) and self.slices == other.slices
+        return (isinstance(other, SPBFIndex) and self._holders == other._holders
+                and all(self.filters[f] == other.filters[f] for f in self._ids))
 
     def fragment_ids(self) -> list[str]:
-        return sorted(self.slices)
+        return list(self._ids)
 
     def spbf(self, fragment_id: str) -> SPBF:
-        try:
-            return self.slices[fragment_id].spbf
-        except KeyError:
-            raise UnknownFragmentError(fragment_id) from None
+        if fragment_id not in self._holders:
+            raise UnknownFragmentError(fragment_id)
+        return self.filters[fragment_id]
 
     def relevant_fragments(self, star: StarPattern) -> list[str]:
-        return [fid for fid in self.fragment_ids()
-                if relevant_fragment(star, self.slices[fid].spbf)]
+        return [fid for fid in self._ids if relevant_fragment(star, self.filters[fid])]
 
     def holders(self, fragment_id: str) -> tuple[str, ...]:
         try:
-            return self.slices[fragment_id].holders
+            return self._holders[fragment_id]
         except KeyError:
             raise UnknownFragmentError(fragment_id) from None
 
 
-def combine(slices: Iterable[SPBFSlice]) -> SPBFIndex:
-    """Union of partial indexes; duplicate fragments merge their holder sets."""
-    merged: dict[str, SPBFSlice] = {}
-    for s in slices:
-        existing = merged.get(s.fragment_id)
-        if existing is None:
-            merged[s.fragment_id] = s
-        else:
-            merged[s.fragment_id] = SPBFSlice(
-                s.fragment_id, existing.spbf, existing.holders + s.holders)
-    return SPBFIndex(merged)
+def combine(filters: dict[str, SPBF], allocation: dict[str, tuple[str, ...]],
+            view: set[str]) -> SPBFIndex:
+    """The index of a node that reaches the nodes in ``view``: every fragment
+    with a holder in the view, with those holders."""
+    holders = {}
+    for fid, hs in allocation.items():
+        visible = tuple(h for h in hs if h in view)
+        if visible:
+            holders[fid] = visible
+    return SPBFIndex(filters, holders)

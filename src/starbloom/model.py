@@ -43,12 +43,6 @@ class Term:
             return s
         return s[: cut + 1]
 
-    @property
-    def localname(self) -> str:
-        if self.kind != IRI:
-            return self.lexical
-        return self.lexical[len(self.prefix):]
-
     def nt(self) -> str:
         """Render in N-Triples syntax."""
         if self.kind == IRI:

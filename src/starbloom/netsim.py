@@ -15,9 +15,9 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 from .bloom import SPBF, BloomParams, build_spbf, spbf_from_bytes, spbf_to_bytes
-from .fragments import (DEFAULT_MIN_SUBJECTS, Fragment, FragmentStoreError,
-                        fragment_by_cs, merge_infrequent, open_fragments)
-from .index import SPBFIndex, SPBFSlice, combine
+from .fragments import (Fragment, FragmentStoreError, fragment_by_cs,
+                        merge_infrequent, open_fragments)
+from .index import SPBFIndex, combine
 from .model import (Binding, KnowledgeGraph, Query, match_star,
                     project_bindings)
 from .planner import (CompatibilityGraph, OptimizeResult, baseline_plan,
@@ -75,8 +75,7 @@ class Metrics:
 class NodeSim:
     id: str
     neighbors: tuple[str, ...]
-    store: dict[str, Fragment] = field(default_factory=dict)
-    index: SPBFIndex = field(default_factory=SPBFIndex)
+    index: SPBFIndex = field(default_factory=lambda: SPBFIndex({}, {}))
 
 
 class Network:
@@ -113,17 +112,11 @@ class Network:
         return seen
 
     def rebuild_indexes(self, filters: dict[str, SPBF]) -> None:
-        """Record the given fragment filters; then each node combines the
-        slices of the fragments stored within its horizon."""
+        """Record the given fragment filters; then each node's index becomes
+        a view of them over the fragments stored within its horizon."""
         self.filters.update(filters)
         for node in self.nodes.values():
-            view = self.reachable(node.id)
-            slices = []
-            for fid, holders in sorted(self.allocation.items()):
-                visible = tuple(h for h in holders if h in view)
-                if visible:
-                    slices.append(SPBFSlice(fid, self.filters[fid], visible))
-            node.index = combine(slices)
+            node.index = combine(self.filters, self.allocation, self.reachable(node.id))
 
 
 def create_network(config: NetworkConfig) -> Network:
@@ -187,7 +180,7 @@ def _store_fragments(net: Network, frags: list[Fragment],
         net.fragments[f.id] = f
         net.allocation[f.id] = holders
         for h in holders:
-            net.node(h).store[f.id] = f
+            net.node(h)  # raises for a holder that is not a node
 
 
 def _bfs_order(net: Network, origin: str) -> list[str]:
@@ -205,7 +198,7 @@ def _bfs_order(net: Network, origin: str) -> list[str]:
 
 
 def upload(net: Network, graph: KnowledgeGraph, origin: str,
-           min_subjects: int = DEFAULT_MIN_SUBJECTS) -> UploadReport:
+           min_subjects: int) -> UploadReport:
     """Fragment a graph (characteristic sets, then infrequent-set merging) and
     place the fragments on the network."""
     frags, _ = merge_infrequent(fragment_by_cs(graph), min_subjects)
@@ -253,10 +246,9 @@ class _Executor:
         self._message("request", src, dst, len(render_plan(plan).encode("utf-8")))
 
     def _local_star(self, sel: Selection, node_id: str) -> KnowledgeGraph:
-        frag = self.net.node(node_id).store.get(sel.fragment)
-        if frag is None:
+        if node_id not in self.net.allocation.get(sel.fragment, ()):
             raise SimulationError(f"node {node_id} does not hold fragment {sel.fragment}")
-        return frag.graph()
+        return self.net.fragments[sel.fragment].graph()
 
     def run(self, plan: Plan, consumer: str) -> list[Binding]:
         if isinstance(plan, EmptyPlan):

@@ -42,9 +42,6 @@ class CompatibilityGraph:
     def is_empty(self) -> bool:
         return not self.fragments()
 
-    def joins(self, f1: str, f2: str) -> bool:
-        return tuple(sorted((f1, f2))) in self.edges
-
 
 def _vars_overlap(a: StarPattern, b: StarPattern) -> bool:
     return bool(a.variables() & b.variables())
@@ -293,7 +290,7 @@ class _Planner:
         frags_by_star = star_fragments(branch)
         linked = [k for k, st in plan_stars(branch).items() if _vars_overlap(st, star)]
         return tuple(fid for fid in candidates
-                     if all(any(self.compat.joins(fid, f) for f in frags_by_star[key])
+                     if all(any(self.ctx.joins(fid, f) for f in frags_by_star[key])
                             for key in linked))
 
     def extend(self, branches: list[Plan], star: StarPattern, cartesian: bool) -> list[Plan]:
@@ -364,8 +361,7 @@ def optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeResult:
     plans any other subset on demand, and ``explain`` fills the whole table.
     """
     compat = compatibility_graph(query, index, query.distinct)
-    spbfs = {fid: index.spbf(fid) for fid in index.fragment_ids()}
-    ctx = PlanContext(spbfs=spbfs, edges=compat.edges, distinct=query.distinct)
+    ctx = PlanContext(spbfs=index.filters, edges=compat.edges, distinct=query.distinct)
 
     if compat.is_empty():
         return OptimizeResult(EmptyPlan(), {}, compat, ctx, origin)
@@ -388,8 +384,7 @@ def baseline_plan(query: Query, index: SPBFIndex, origin: str) -> tuple[Plan, Pl
     """No-pruning reference: every relevant fragment per star, one join per
     star in the same greedy order, everything delegated to the origin."""
     stars = star_decompose(query.bgp)
-    spbfs = {fid: index.spbf(fid) for fid in index.fragment_ids()}
-    ctx = PlanContext(spbfs=spbfs, edges=frozenset(), distinct=query.distinct)
+    ctx = PlanContext(spbfs=index.filters, edges=frozenset(), distinct=query.distinct)
 
     relevant = {st.key: tuple(index.relevant_fragments(st)) for st in stars}
     if any(not fids for fids in relevant.values()):
@@ -399,7 +394,8 @@ def baseline_plan(query: Query, index: SPBFIndex, origin: str) -> tuple[Plan, Pl
         return union_of([placed_selection(star, fid, index, origin) for fid in relevant[star.key]])
 
     cards = {
-        st.key: ordered_sum(card_star(st, spbfs[fid], query.distinct) for fid in relevant[st.key])
+        st.key: ordered_sum(card_star(st, index.filters[fid], query.distinct)
+                            for fid in relevant[st.key])
         for st in stars
     }
     order = _chain_order(stars, cards)

@@ -12,7 +12,7 @@ from typing import Iterable, Optional
 from starbloom.bloom import BloomParams, ExactBitset, SPBF, ordered_sum
 from starbloom.cardinality import PlanContext, card_star
 from starbloom.fragments import fragment_by_cs
-from starbloom.index import SPBFIndex, SPBFSlice
+from starbloom.index import SPBFIndex
 from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple,
                              TriplePattern, Variable, _match_pattern, iri,
                              star_decompose)
@@ -113,9 +113,7 @@ def exact_running_spbfs() -> dict[str, SPBF]:
 
 
 def exact_running_index() -> SPBFIndex:
-    spbfs = exact_running_spbfs()
-    return SPBFIndex({fid: SPBFSlice(fid, spbf, RUNNING_ALLOCATION[fid])
-                      for fid, spbf in spbfs.items()})
+    return SPBFIndex(exact_running_spbfs(), dict(RUNNING_ALLOCATION))
 
 
 def running_stars(query: Optional[Query] = None) -> dict[str, StarPattern]:

@@ -7,7 +7,7 @@ import pytest
 from helpers import AUTH, NAT, RUNNING_ALLOCATION
 from starbloom.bloom import BloomParams, build_spbf, spbf_from_bytes, spbf_to_bytes
 from starbloom.fragments import fragment_by_cs
-from starbloom.index import SPBFIndex, SPBFSlice, UnknownFragmentError, combine
+from starbloom.index import SPBFIndex, UnknownFragmentError
 from starbloom.model import (KnowledgeGraph, StarPattern, Triple, TriplePattern,
                              Variable, evaluate_bgp, iri)
 from starbloom.netsim import StateFileError, load_filters, write_filters
@@ -18,43 +18,6 @@ PARAMS = BloomParams(m=4096, k=3)
 def star(subject, *pairs):
     pats = tuple(TriplePattern(subject, p, o) for p, o in pairs)
     return StarPattern(subject, pats)
-
-
-class TestCombine:
-    def slices(self, running_index):
-        return list(running_index.slices.values())
-
-    def test_running_subset_view(self, running_index):
-        subset = [running_index.slices[f] for f in ("f2", "f4", "f5")]
-        idx = combine(subset)
-        assert idx.fragment_ids() == ["f2", "f4", "f5"]
-
-    def test_empty(self):
-        assert combine([]).fragment_ids() == []
-
-    def test_duplicate_slice_is_noop(self, running_index):
-        s = running_index.slices["f1"]
-        idx = combine([s, s])
-        assert idx.holders("f1") == s.holders
-
-    def test_conflicting_holders_union(self, running_index):
-        s = running_index.slices["f1"]
-        other = SPBFSlice("f1", s.spbf, ("n9",))
-        idx = combine([s, other])
-        assert idx.holders("f1") == tuple(sorted(set(s.holders) | {"n9"}))
-
-    def test_order_insensitive_and_associative(self, running_index):
-        slices = self.slices(running_index)
-        a = combine(slices)
-        b = combine(reversed(slices))
-        assert a.fragment_ids() == b.fragment_ids()
-        assert all(a.holders(f) == b.holders(f) for f in a.fragment_ids())
-        # combine(A ∪ B) equals combining the combined halves
-        half = len(slices) // 2
-        ab = combine(list(combine(slices[:half]).slices.values()) +
-                     list(combine(slices[half:]).slices.values()))
-        assert ab.fragment_ids() == a.fragment_ids()
-        assert all(ab.holders(f) == a.holders(f) for f in a.fragment_ids())
 
 
 class TestRelevantFragments:
@@ -104,8 +67,8 @@ def random_fragment_universe(seed):
                                iri(f"http://ex/o{rng.randint(0, 20)}")))
     graph = KnowledgeGraph(triples)
     frags = fragment_by_cs(graph)
-    index = SPBFIndex({f.id: SPBFSlice(f.id, build_spbf(f, PARAMS), ("n1",))
-                       for f in frags})
+    index = SPBFIndex({f.id: build_spbf(f, PARAMS) for f in frags},
+                      {f.id: ("n1",) for f in frags})
     return graph, frags, index
 
 

@@ -15,18 +15,14 @@ class TestTerm:
     def test_iri_prefix_slash(self):
         t = iri("http://dbpedia.org/resource/Copenhagen")
         assert t.prefix == "http://dbpedia.org/resource/"
-        assert t.localname == "Copenhagen"
-        assert t.prefix + t.localname == t.lexical
 
     def test_iri_prefix_hash(self):
         t = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
-        assert t.prefix.endswith("#")
-        assert t.localname == "type"
+        assert t.prefix == "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 
     def test_iri_prefix_scheme_only(self):
         t = iri("urn:uuid:1234")
-        assert t.prefix + t.localname == t.lexical
-        assert t.prefix.endswith(":")
+        assert t.prefix == "urn:uuid:"
 
     def test_literal_and_blank_pseudo_prefixes(self):
         assert literal("x").prefix == "_lit:"

@@ -12,6 +12,7 @@ from helpers import (RUNNING_QUERY, RUNNING_QUERY_DISTINCT,
                      random_graph, random_network, random_star_query)
 from starbloom.bloom import BloomParams, spbf_to_bytes
 from starbloom.fragments import fragment_by_cs, write_fragments
+from starbloom.index import UnknownFragmentError
 from starbloom.model import (KnowledgeGraph, Triple, bindings_multiset,
                              evaluate_bgp, iri)
 from starbloom.netsim import (MESSAGE_HEADER_BYTES, NetworkConfig,
@@ -71,16 +72,15 @@ class TestUpload:
         assert len(net.fragments) == 5
         for fid, holders in net.allocation.items():
             assert len(holders) == 2
-            for h in holders:
-                assert fid in net.nodes[h].store
+            assert set(holders) <= set(net.nodes)
 
     def test_full_replication(self):
         graph = KnowledgeGraph([Triple(iri("http://ex/s"), iri("http://ex/p"),
                                        iri("http://ex/o"))])
         net = create_network(make_config(replication_factor=5))
         upload(net, graph, "n1", min_subjects=1)
-        for node in net.nodes.values():
-            assert len(node.store) == len(net.fragments)
+        for holders in net.allocation.values():
+            assert set(holders) == set(net.nodes)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_index_matches_horizon_oracle(self, seed):
@@ -97,6 +97,10 @@ class TestUpload:
             for fid in expected:
                 assert set(node.index.holders(fid)) == \
                        {h for h in net.allocation[fid] if h in view}
+                assert node.index.spbf(fid) is net.filters[fid]
+            for fid in set(net.allocation) - expected:
+                with pytest.raises(UnknownFragmentError):
+                    node.index.spbf(fid)
 
     def test_replication_infeasible(self):
         cfg = make_config(node_count=2, neighbor_count=1, replication_factor=2)
@@ -176,6 +180,17 @@ class TestExecutePlan:
         bogus = Selection(result.plan.star, result.plan.fragment, "n3")  # n3 lacks f5
         with pytest.raises(SimulationError):
             execute_plan(net, bogus, "n1")
+
+    def test_selection_on_a_node_without_its_fragment_is_refused(self):
+        net, names = build_running_network(m=4096, k=3)
+        f5 = next(fid for fid, name in names.items() if name == "f5")
+        q = parse_query(
+            "PREFIX dbo: <http://dbpedia.org/ontology/> "
+            "SELECT * WHERE { ?publication dbo:publisher ?x . ?publication dbo:language ?y . }")
+        star = optimize(q, net.nodes["n1"].index, "n1").plan.star
+        for node in sorted(set(net.nodes) - set(net.allocation[f5])):
+            with pytest.raises(SimulationError, match=f"node {node} does not hold fragment {f5}"):
+                execute_plan(net, Selection(star, f5, node), node)
 
     def test_monotone_metrics_and_determinism(self, running_query):
         net, _ = build_running_network(m=4096, k=3)
@@ -400,4 +415,14 @@ class TestLoadedNetwork:
         data["config"]["replication_factor"] = 1
         state.write_text(json.dumps(data), encoding="utf-8")
         with pytest.raises(StateFileError, match="needs exactly 1 holders"):
+            load_network(state)
+
+    def test_allocation_naming_an_unknown_node_is_a_state_error(self, tmp_path):
+        net, _ = build_running_network(m=4096, k=3)
+        state = persist(net, tmp_path)
+        data = json.loads(state.read_text(encoding="utf-8"))
+        fid = min(data["allocation"])
+        data["allocation"][fid][0] = "n99"
+        state.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(StateFileError, match="unknown node n99"):
             load_network(state)
