@@ -14,7 +14,7 @@ from .fragments import (DEFAULT_MIN_SUBJECTS, fragment_by_cs, load_fragments,
 from .netsim import (NetworkConfig, SimulationError, create_network, dump_network,
                      load_network, place_fragments, run_query)
 from .ntriples import NTriplesError, parse_ntriples
-from .planner import explain
+from .planner import explain, optimize
 from .sparql import QueryParseError, UnsupportedFeatureError, parse_query
 
 EXIT_OK = 0
@@ -129,9 +129,7 @@ def _run(args: argparse.Namespace, execute: bool) -> int:
     if execute:
         rows, metrics, result = run_query(net, query, args.node)
     else:
-        from .planner import optimize
         result = optimize(query, net.node(args.node).index, args.node)
-        rows, metrics = None, None
     if getattr(args, "explain", False) or not execute:
         sys.stdout.write(explain(result))
     if execute:

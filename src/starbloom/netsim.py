@@ -9,7 +9,7 @@ import json
 import os
 import random
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from math import ceil
 from pathlib import Path
 from typing import Iterable, Optional
@@ -95,28 +95,33 @@ class Network:
         except KeyError:
             raise SimulationError(f"unknown node {node_id}") from None
 
-    def reachable(self, origin: str) -> set[str]:
-        """Nodes within ``config.horizon`` hops of ``origin`` along neighbor links."""
+    def reachable(self, origin: str, hops: int) -> list[str]:
+        """Nodes within ``hops`` hops of ``origin`` along neighbor links, in
+        breadth-first order: ``origin`` first, then each node's neighbors in
+        ``node_sort_key`` order."""
+        order = [origin]
         seen = {origin}
         frontier = [origin]
-        for _ in range(self.config.horizon):
+        for _ in range(hops):
             nxt: list[str] = []
             for nid in frontier:
-                for nb in self.nodes[nid].neighbors:
+                for nb in self.node(nid).neighbors:
                     if nb not in seen:
                         seen.add(nb)
                         nxt.append(nb)
             if not nxt:
                 break
+            order.extend(nxt)
             frontier = nxt
-        return seen
+        return order
 
     def rebuild_indexes(self, filters: dict[str, SPBF]) -> None:
         """Record the given fragment filters; then each node's index becomes
         a view of them over the fragments stored within its horizon."""
         self.filters.update(filters)
         for node in self.nodes.values():
-            node.index = combine(self.filters, self.allocation, self.reachable(node.id))
+            view = set(self.reachable(node.id, self.config.horizon))
+            node.index = combine(self.filters, self.allocation, view)
 
 
 def create_network(config: NetworkConfig) -> Network:
@@ -124,16 +129,13 @@ def create_network(config: NetworkConfig) -> Network:
     neighbors other than itself."""
     rng = random.Random(config.rng_seed)
     ids = [f"n{i}" for i in range(1, config.node_count + 1)]
-    nodes = {}
-    for nid in ids:
-        pool = [x for x in ids if x != nid]
-        neighbors = tuple(sorted(rng.sample(pool, config.neighbor_count), key=node_sort_key))
-        nodes[nid] = NodeSim(id=nid, neighbors=neighbors)
-    return Network(config, nodes)
+    topology = {nid: rng.sample([x for x in ids if x != nid], config.neighbor_count)
+                for nid in ids}
+    return network_from_layout(config, topology)
 
 
 def network_from_layout(config: NetworkConfig, topology: dict[str, Iterable[str]]) -> Network:
-    """Explicit topology (for fixtures and loaded state files)."""
+    """The network whose nodes have the given neighbors (seeded or loaded)."""
     nodes = {nid: NodeSim(id=nid, neighbors=tuple(sorted(nbrs, key=node_sort_key)))
              for nid, nbrs in topology.items()}
     if len(nodes) != config.node_count:
@@ -144,30 +146,22 @@ def network_from_layout(config: NetworkConfig, topology: dict[str, Iterable[str]
     return Network(config, nodes)
 
 
-@dataclass
-class UploadReport:
-    fragment_count: int
-    allocation: dict[str, tuple[str, ...]]
-
-
 def place_fragments(net: Network, fragments: Iterable[Fragment], origin: str,
-                    allocation: Optional[dict[str, Iterable[str]]] = None) -> UploadReport:
+                    allocation: Optional[dict[str, Iterable[str]]] = None) -> None:
     """Register fragments and replicate each at ``replication_factor`` nodes,
     chosen from the breadth-first expansion around the origin (seeded),
     unless an explicit allocation is given."""
     frags = sorted(fragments, key=Fragment.sort_key)
     if allocation is None:
         factor = net.config.replication_factor
-        candidates = _bfs_order(net, origin)
+        candidates = net.reachable(origin, len(net.nodes))
         if len(candidates) < factor:
             raise SimulationError(
                 f"cannot replicate {factor}x across {len(candidates)} reachable nodes")
         rng = random.Random((net.config.rng_seed, origin, len(frags)).__repr__())
-        allocation = {f.id: tuple(sorted(rng.sample(candidates, factor), key=node_sort_key))
-                      for f in frags}
+        allocation = {f.id: rng.sample(candidates, factor) for f in frags}
     _store_fragments(net, frags, allocation)
     net.rebuild_indexes({f.id: build_spbf(f, net.config.bloom) for f in frags})
-    return UploadReport(len(frags), dict(net.allocation))
 
 
 def _store_fragments(net: Network, frags: list[Fragment],
@@ -183,26 +177,12 @@ def _store_fragments(net: Network, frags: list[Fragment],
             net.node(h)  # raises for a holder that is not a node
 
 
-def _bfs_order(net: Network, origin: str) -> list[str]:
-    seen = [origin]
-    frontier = [origin]
-    while frontier:
-        nxt = []
-        for nid in frontier:
-            for nb in sorted(net.node(nid).neighbors, key=node_sort_key):
-                if nb not in seen:
-                    seen.append(nb)
-                    nxt.append(nb)
-        frontier = nxt
-    return seen
-
-
 def upload(net: Network, graph: KnowledgeGraph, origin: str,
-           min_subjects: int) -> UploadReport:
+           min_subjects: int) -> None:
     """Fragment a graph (characteristic sets, then infrequent-set merging) and
     place the fragments on the network."""
     frags, _ = merge_infrequent(fragment_by_cs(graph), min_subjects)
-    return place_fragments(net, frags, origin)
+    place_fragments(net, frags, origin)
 
 
 # -- execution -----------------------------------------------------------------
@@ -242,9 +222,6 @@ class _Executor:
             chunk = rows[page * self.page_size:(page + 1) * self.page_size]
             self._message("page", src, dst, _payload_bytes(chunk), len(chunk))
 
-    def _delegate_request(self, plan: Plan, src: str, dst: str) -> None:
-        self._message("request", src, dst, len(render_plan(plan).encode("utf-8")))
-
     def _local_star(self, sel: Selection, node_id: str) -> KnowledgeGraph:
         if node_id not in self.net.allocation.get(sel.fragment, ()):
             raise SimulationError(f"node {node_id} does not hold fragment {sel.fragment}")
@@ -253,26 +230,21 @@ class _Executor:
     def run(self, plan: Plan, consumer: str) -> list[Binding]:
         if isinstance(plan, EmptyPlan):
             return []
-        if isinstance(plan, Selection):
-            rows = match_star(plan.star, self._local_star(plan, plan.node))
-            rows = [dict(sorted(r.items())) for r in rows]
-            if plan.node != consumer:
-                self._delegate_request(plan, consumer, plan.node)
-                self._ship_results(rows, plan.node, consumer)
-            return rows
         if isinstance(plan, Union_):
             out: list[Binding] = []
             for b in plan.branches:  # fixed schedule: branch order
                 out.extend(self.run(b, consumer))
             return out
-        if isinstance(plan, Join):
+        if isinstance(plan, Selection):
+            rows = match_star(plan.star, self._local_star(plan, plan.node))
+        elif isinstance(plan, Join):
             rows = self._run_join(plan)
         elif isinstance(plan, Cartesian):
             rows = self._run_cartesian(plan)
         else:
             raise SimulationError(f"cannot execute {type(plan).__name__}")
-        if plan.node != consumer:
-            self._delegate_request(plan, consumer, plan.node)
+        if plan.node != consumer:  # the consumer sends the plan and gets the rows back
+            self._message("request", consumer, plan.node, len(render_plan(plan).encode("utf-8")))
             self._ship_results(rows, plan.node, consumer)
         return rows
 
@@ -379,23 +351,13 @@ def dump_network(net: Network, path: Path, fragments_dir: Optional[Path] = None)
     recorded only in the allocation. Directories are recorded relative to
     the state file's directory."""
     path = Path(path)
-    cfg = net.config
     filters_dir, filter_digests = None, {}
     if net.allocation:
         filters_dir = path.with_name(path.name + ".filters")
         filter_digests = write_filters({fid: net.filters[fid] for fid in net.allocation},
                                        filters_dir)
     state = {
-        "config": {
-            "node_count": cfg.node_count,
-            "neighbor_count": cfg.neighbor_count,
-            "replication_factor": cfg.replication_factor,
-            "horizon": cfg.horizon,
-            "rng_seed": cfg.rng_seed,
-            "bloom": {"m": cfg.bloom.m, "k": cfg.bloom.k, "seed": cfg.bloom.seed},
-            "omega": cfg.omega,
-            "page_size": cfg.page_size,
-        },
+        "config": asdict(net.config),
         "topology": {nid: list(net.nodes[nid].neighbors) for nid in net.node_ids()},
         "allocation": {fid: list(holders) for fid, holders in sorted(net.allocation.items())},
         "fragments_dir": (os.path.relpath(os.path.abspath(fragments_dir),
@@ -430,16 +392,8 @@ def load_network(path: Path) -> Network:
         raise StateFileError(f"state file {path} is not UTF-8 JSON: {e}") from e
     try:
         c = state["config"]
-        config = NetworkConfig(
-            node_count=c["node_count"],
-            neighbor_count=c["neighbor_count"],
-            replication_factor=c["replication_factor"],
-            horizon=c["horizon"],
-            rng_seed=c["rng_seed"],
-            bloom=BloomParams(**c["bloom"]),
-            omega=c["omega"],
-            page_size=c["page_size"],
-        )
+        config = _from_fields(NetworkConfig,
+                              {**c, "bloom": _from_fields(BloomParams, c["bloom"])})
         net = network_from_layout(config, state["topology"])
         allocation = {fid: tuple(h) for fid, h in state["allocation"].items()}
         fragments_dir = _beside(path, state.get("fragments_dir"))
@@ -510,6 +464,12 @@ def load_filters(outdir: Path, digests: dict[str, str], fragment_ids: Iterable[s
         except ValueError as e:
             raise StateFileError(f"{path}: {e}; {_RECREATE}") from e
     return filters
+
+
+def _from_fields(cls, values: dict):
+    """The dataclass ``cls`` made from the entries of ``values`` named after
+    its fields; a missing one raises ``KeyError`` and others are ignored."""
+    return cls(**{f.name: values[f.name] for f in fields(cls)})
 
 
 def _beside(state_path: Path, name: Optional[str]) -> Optional[Path]:

@@ -36,6 +36,8 @@ class UnsupportedFeatureError(QueryParseError):
         self.keyword = keyword
 
 
+PREFIX_NAME = "[A-Za-z_][A-Za-z0-9_-]*:"
+# a local part may hold "." but not end with it: "ex:o." is "ex:o" and a "."
 _TOKEN = re.compile(
     rf"""
     (?P<skip>\s+|\#[^\n]*)
@@ -43,7 +45,7 @@ _TOKEN = re.compile(
   | (?P<literal>{LITERAL_PATTERN})
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>[+-]?\d+(?:\.\d+)?)
-  | (?P<pname>[A-Za-z_][A-Za-z0-9_-]*:[A-Za-z0-9_.\-]*)
+  | (?P<pname>{PREFIX_NAME}(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{{}}.*;,])
     """,
@@ -128,11 +130,11 @@ def parse_query(text: str) -> Query:
 
     while (ts.peek() or "").upper() == "PREFIX":
         ts.next()
-        # the prefixed-name token may carry the colon already ("dbo:")
         name = ts.next()
-        if ":" not in name:
-            raise ts.error(f"malformed PREFIX name {name!r}", ts.pos - 1)
-        pfx = name.rstrip(":").split(":")[0]
+        if not re.fullmatch(PREFIX_NAME, name):
+            raise ts.error(f"malformed PREFIX name {name!r}: expected a name ending in ':'",
+                           ts.pos - 1)
+        pfx = name[:-1]
         target = ts.next()
         if not target.startswith("<"):
             raise ts.error("PREFIX target must be an IRI", ts.pos - 1)

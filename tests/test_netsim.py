@@ -1,15 +1,17 @@
 import hashlib
 import json
 import random
+from dataclasses import MISSING, fields
 from math import ceil
 
 import pytest
 
 import starbloom.fragments as fragments_module
 import starbloom.netsim as netsim_module
-from helpers import (RUNNING_QUERY, RUNNING_QUERY_DISTINCT,
-                     build_running_network, create_connected, plan_fragments,
-                     random_graph, random_network, random_star_query)
+from helpers import (RUNNING_ALLOCATION, RUNNING_QUERY, RUNNING_QUERY_DISTINCT,
+                     RUNNING_TOPOLOGY, build_running_network, create_connected,
+                     plan_fragments, random_graph, random_network, random_star_query,
+                     running_fragments)
 from starbloom.bloom import BloomParams, spbf_to_bytes
 from starbloom.fragments import fragment_by_cs, write_fragments
 from starbloom.index import UnknownFragmentError
@@ -90,7 +92,7 @@ class TestUpload:
         graph = random_graph(rng, 20, [f"http://ex/p{i}" for i in range(4)])
         upload(net, graph, "n1", min_subjects=1)
         for nid, node in net.nodes.items():
-            view = net.reachable(nid)
+            view = net.reachable(nid, cfg.horizon)
             expected = {fid for fid, holders in net.allocation.items()
                         if any(h in view for h in holders)}
             assert set(node.index.fragment_ids()) == expected
@@ -279,18 +281,46 @@ class TestMeasureRelevance:
 class TestStatePersistence:
     def test_dump_load_round_trip(self, tmp_path, running_query):
         from starbloom.fragments import write_fragments
-        net, _ = build_running_network(m=4096, k=3)
+        config = NetworkConfig(node_count=5, neighbor_count=2, replication_factor=2,
+                               horizon=4, rng_seed=3, bloom=BloomParams(m=4096, k=3, seed=11),
+                               omega=7, page_size=9)
+        for settings in (config, config.bloom):  # every setting must survive the trip
+            for f in fields(settings):
+                default = f.default if f.default_factory is MISSING else f.default_factory()
+                assert getattr(settings, f.name) != default, f.name
+        net = network_from_layout(config, RUNNING_TOPOLOGY)
+        frags, names = running_fragments()
+        place_fragments(net, frags, "n1", {f.id: RUNNING_ALLOCATION[names[f.id]] for f in frags})
         frag_dir = tmp_path / "frags"
         write_fragments(net.fragments.values(), frag_dir)
         state = tmp_path / "net.json"
         dump_network(net, state, fragments_dir=frag_dir)
         loaded = load_network(state)
+        assert loaded.config == net.config
         assert loaded.allocation == net.allocation
         assert {n: loaded.nodes[n].neighbors for n in loaded.nodes} == \
                {n: net.nodes[n].neighbors for n in net.nodes}
         rows_a, _, _ = run_query(net, running_query, "n1")
         rows_b, _, _ = run_query(loaded, running_query, "n1")
         assert bindings_multiset(rows_a) == bindings_multiset(rows_b)
+
+    @pytest.mark.parametrize("key", ["node_count", "neighbor_count", "replication_factor",
+                                     "horizon", "rng_seed", "bloom", "omega", "page_size",
+                                     "bloom.m", "bloom.k", "bloom.seed"])
+    def test_config_key_missing_is_a_state_error_and_extra_is_ignored(self, tmp_path, key):
+        net, _ = build_running_network(m=4096, k=3)
+        write_fragments(net.fragments.values(), tmp_path / "frags")
+        state = tmp_path / "net.json"
+        dump_network(net, state, fragments_dir=tmp_path / "frags")
+        data = json.loads(state.read_text(encoding="utf-8"))
+        section = data["config"]["bloom"] if key.startswith("bloom.") else data["config"]
+        section["extra"] = 1
+        state.write_text(json.dumps(data), encoding="utf-8")
+        assert load_network(state).config == net.config
+        del section[key.split(".")[-1]]
+        state.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(StateFileError, match="malformed state file"):
+            load_network(state)
 
     def test_state_naming_absent_fragments_is_a_state_error(self, tmp_path):
         from starbloom.fragments import write_fragments

@@ -110,6 +110,9 @@ SHORTHAND_PREFIX = "PREFIX dbo: <http://dbpedia.org/ontology/>\nSELECT * WHERE {
     ("?p dbo:nationality ?c ;", "?p dbo:nationality ?c ."),
     ("?p dbo:nationality ?c ;; ?v \"x\" ; . ?c dbo:capital <http://ex/k>",
      "?p dbo:nationality ?c . ?p ?v \"x\" . ?c dbo:capital <http://ex/k> ."),
+    ("?p dbo:author dbo:x.", "?p dbo:author dbo:x ."),
+    ("?p dbo:a.b dbo:x.y.z.", "?p <http://dbpedia.org/ontology/a.b> "
+     "<http://dbpedia.org/ontology/x.y.z> ."),
 ])
 def test_shorthand_expands_in_document_order(shorthand, expanded):
     got = parse_query(SHORTHAND_PREFIX + shorthand + " }")
@@ -140,6 +143,8 @@ def test_malformed_shorthand_rejected(body):
     ("SELECT * WHERE { ?s <http://ex/p> ?o . ", 1, 40),
     ("SELECT * WHERE { ?s <http://ex/p> ?o . } $", 1, 42),
     ("PREFIX ex: <http://ex/>\n", 2, 1),
+    ("PREFIX ex: <http://ex/>\nPREFIX ex:foo <http://ex/foo>\nSELECT * WHERE { ?s ?p ?o }",
+     2, 8),
     ("SELECT ?s ?x WHERE { ?s <http://ex/p> ?o }", 1, 8),
 ])
 def test_errors_name_line_and_column(text, line, column):
