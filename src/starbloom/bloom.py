@@ -69,7 +69,7 @@ def _estimate_partition(set_bits: int, m: int, k: int) -> float:
 class PartitionedBitvector:
     """Bloom bitvectors grouped by term prefix; partitions appear on first insert.
 
-    ``estimate()`` is computed once and cached; ``insert_raw``, the only
+    ``estimate()`` is computed once and cached; ``insert``, the only
     mutator, clears the cache."""
 
     __slots__ = ("params", "partitions", "_estimate")
@@ -81,15 +81,12 @@ class PartitionedBitvector:
 
     def insert(self, term: Term) -> "PartitionedBitvector":
         prefix, data = term.filter_key()
-        self.insert_raw(prefix, data)
-        return self
-
-    def insert_raw(self, prefix: str, data: str) -> None:
         bits = self.partitions.get(prefix, 0)
         for pos in self.params.positions(data):
             bits |= 1 << pos
         self.partitions[prefix] = bits
         self._estimate = None
+        return self
 
     def maybe_contains(self, term: Term) -> bool:
         prefix, data = term.filter_key()
@@ -110,9 +107,7 @@ class PartitionedBitvector:
         self._check_params(other)
         common = self.partitions.keys() & other.partitions.keys()
         return PartitionedBitvector(
-            self.params,
-            {p: self.partitions[p] & other.partitions[p] for p in sorted(common)},
-        )
+            self.params, {p: self.partitions[p] & other.partitions[p] for p in common})
 
     def union(self, other: "PartitionedBitvector") -> "PartitionedBitvector":
         self._check_params(other)
@@ -128,20 +123,20 @@ class PartitionedBitvector:
         return sum(bits.bit_count() for bits in self.partitions.values())
 
     def estimate(self) -> float:
-        """Estimated number of distinct inserted values, summed over partitions."""
+        """Estimated number of distinct inserted values, summed over partitions
+        in prefix order: the order a filter file stores them, so a filter read
+        back estimates exactly what the built one did."""
         if self._estimate is None:
             m, k = self.params.m, self.params.k
-            self._estimate = ordered_sum(_estimate_partition(bits.bit_count(), m, k)
-                                         for bits in self.partitions.values())
+            self._estimate = ordered_sum(
+                _estimate_partition(self.partitions[p].bit_count(), m, k)
+                for p in sorted(self.partitions))
         return self._estimate
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, PartitionedBitvector)
                 and self.params == other.params
                 and self.partitions == other.partitions)
-
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash((self.params, tuple(sorted(self.partitions.items()))))
 
 
 class ExactBitset:
@@ -180,9 +175,6 @@ class ExactBitset:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ExactBitset) and self.items == other.items
 
-    def __hash__(self) -> int:  # pragma: no cover
-        return hash(self.items)
-
 
 Summary = Union[PartitionedBitvector, ExactBitset]
 
@@ -192,14 +184,13 @@ class SPBF:
     """Per-fragment star filter: one summary for subjects, one per predicate
     for that predicate's objects. Predicate membership itself is exact."""
 
-    predicates: tuple[str, ...]
     subjects: Summary
     objects: dict[str, Summary]
     params: Optional[BloomParams] = None
 
-    def __post_init__(self) -> None:
-        if set(self.objects) != set(self.predicates):
-            raise ValueError("object summaries must cover exactly the predicate set")
+    @property
+    def predicates(self) -> tuple[str, ...]:
+        return tuple(sorted(self.objects))
 
     def has_predicate(self, predicate: str) -> bool:
         return predicate in self.objects
@@ -229,25 +220,25 @@ def build_spbf(fragment: Fragment, params: BloomParams) -> SPBF:
     if not fragment.triples:
         raise ValueError("cannot summarize an empty fragment")
     subjects = PartitionedBitvector(params)
+    for s in {t.s for t in fragment.triples}:
+        subjects.insert(s)
     objects = {p: PartitionedBitvector(params) for p in fragment.cs.predicates}
-    seen_subjects: set[Term] = set()
-    for t in sorted(fragment.triples, key=lambda t: t.sort_key()):
-        if t.s not in seen_subjects:
-            seen_subjects.add(t.s)
-            subjects.insert(t.s)
+    for t in fragment.triples:
         objects[t.p.lexical].insert(t.o)
-    return SPBF(fragment.cs.predicates, subjects, objects, params)
+    return SPBF(subjects, objects, params)
 
 
 # -- binary serialization ----------------------------------------------------
 
 _MAGIC = b"SPBF"
 _VERSION = 1
+_HEADER = "<HIHQ"  # after the magic: version, m, k, seed
+_COUNT = "<I"  # a string's length in bytes, or a number of partitions or predicates
 
 
 def _pack_str(s: str) -> bytes:
     data = s.encode("utf-8")
-    return struct.pack("<I", len(data)) + data
+    return struct.pack(_COUNT, len(data)) + data
 
 
 class _Reader:
@@ -262,23 +253,16 @@ class _Reader:
         self.pos += n
         return out
 
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def string(self) -> str:
-        return self.take(self.u32()).decode("utf-8")
+        return self.take(self.unpack(_COUNT)[0]).decode("utf-8")
 
 
 def _pack_bitvector(pb: PartitionedBitvector) -> bytes:
-    m = pb.params.m
-    nbytes = (m + 7) // 8
-    parts = [struct.pack("<I", len(pb.partitions))]
+    nbytes = (pb.params.m + 7) // 8
+    parts = [struct.pack(_COUNT, len(pb.partitions))]
     for prefix in sorted(pb.partitions):
         parts.append(_pack_str(prefix))
         parts.append(pb.partitions[prefix].to_bytes(nbytes, "little"))
@@ -287,9 +271,8 @@ def _pack_bitvector(pb: PartitionedBitvector) -> bytes:
 
 def _read_bitvector(r: _Reader, params: BloomParams) -> PartitionedBitvector:
     nbytes = (params.m + 7) // 8
-    count = r.u32()
     partitions: dict[str, int] = {}
-    for _ in range(count):
+    for _ in range(r.unpack(_COUNT)[0]):
         prefix = r.string()
         partitions[prefix] = int.from_bytes(r.take(nbytes), "little")
     return PartitionedBitvector(params, partitions)
@@ -298,10 +281,10 @@ def _read_bitvector(r: _Reader, params: BloomParams) -> PartitionedBitvector:
 def spbf_to_bytes(spbf: SPBF) -> bytes:
     if spbf.params is None:
         raise ValueError("exact-set summaries are not serializable")
-    header = _MAGIC + struct.pack("<HIHQ", _VERSION, spbf.params.m, spbf.params.k,
+    header = _MAGIC + struct.pack(_HEADER, _VERSION, spbf.params.m, spbf.params.k,
                                   spbf.params.seed)
-    parts = [header, _pack_bitvector(spbf.subjects), struct.pack("<I", len(spbf.predicates))]
-    for p in sorted(spbf.predicates):
+    parts = [header, _pack_bitvector(spbf.subjects), struct.pack(_COUNT, len(spbf.objects))]
+    for p in spbf.predicates:
         parts.append(_pack_str(p))
         parts.append(_pack_bitvector(spbf.objects[p]))
     return b"".join(parts)
@@ -311,17 +294,15 @@ def spbf_from_bytes(data: bytes, expected_params: Optional[BloomParams] = None) 
     r = _Reader(data)
     if r.take(4) != _MAGIC:
         raise ValueError("not a star filter stream (bad magic)")
-    version = r.u16()
+    version, m, k, seed = r.unpack(_HEADER)
     if version != _VERSION:
         raise ValueError(f"unsupported filter version {version}")
-    params = BloomParams(m=r.u32(), k=r.u16(), seed=r.u64())
+    params = BloomParams(m=m, k=k, seed=seed)
     if expected_params is not None and params != expected_params:
         raise ParameterMismatchError(f"filter parameters {params} != expected {expected_params}")
     subjects = _read_bitvector(r, params)
-    preds: list[str] = []
     objects: dict[str, PartitionedBitvector] = {}
-    for _ in range(r.u32()):
+    for _ in range(r.unpack(_COUNT)[0]):
         p = r.string()
-        preds.append(p)
         objects[p] = _read_bitvector(r, params)
-    return SPBF(tuple(sorted(preds)), subjects, objects, params)
+    return SPBF(subjects, objects, params)

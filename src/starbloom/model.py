@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
 IRI = "iri"
@@ -122,21 +123,21 @@ class Triple:
 
 
 class KnowledgeGraph:
-    """An immutable set of triples with a subject index.
-
-    Two further indexes are built on first use: the subjects in ``Term.nt()``
-    order, and a (predicate, object) -> subjects index in that same order.
+    """An immutable set of triples, indexed by subject in ``Term.nt()`` order
+    with each subject's triples in ``Triple.sort_key`` order. A (predicate,
+    object) -> subjects index, in the same subject order, is built on first use.
     """
 
-    __slots__ = ("triples", "_by_subject", "_subject_order", "_by_pred_obj")
+    __slots__ = ("triples", "_subjects", "_by_subject", "_by_pred_obj")
 
     def __init__(self, triples: Iterable[Triple] = ()):
         self.triples: frozenset[Triple] = frozenset(triples)
         by_subject: dict[Term, list[Triple]] = {}
         for t in self.triples:
             by_subject.setdefault(t.s, []).append(t)
-        self._by_subject = {s: tuple(sorted(ts, key=Triple.sort_key)) for s, ts in by_subject.items()}
-        self._subject_order: Optional[tuple[Term, ...]] = None
+        self._subjects = tuple(sorted(by_subject, key=Term.nt))
+        self._by_subject = {s: tuple(sorted(by_subject[s], key=Triple.sort_key))
+                            for s in self._subjects}
         self._by_pred_obj: Optional[dict[tuple[Term, Term], tuple[Term, ...]]] = None
 
     def __len__(self) -> int:
@@ -155,10 +156,8 @@ class KnowledgeGraph:
         return hash(self.triples)
 
     def subjects(self) -> tuple[Term, ...]:
-        """Every subject, in ``Term.nt()`` order (built on the first call)."""
-        if self._subject_order is None:
-            self._subject_order = tuple(sorted(self._by_subject, key=Term.nt))
-        return self._subject_order
+        """Every subject, in ``Term.nt()`` order."""
+        return self._subjects
 
     def triples_with_subject(self, s: Term) -> tuple[Triple, ...]:
         return self._by_subject.get(s, ())
@@ -170,14 +169,15 @@ class KnowledgeGraph:
         """
         if self._by_pred_obj is None:
             index: dict[tuple[Term, Term], list[Term]] = {}
-            for s in self.subjects():
-                for t in self._by_subject[s]:
+            for s, ts in self._by_subject.items():
+                for t in ts:
                     index.setdefault((t.p, t.o), []).append(s)
             self._by_pred_obj = {key: tuple(ss) for key, ss in index.items()}
         return self._by_pred_obj.get((p, o), ())
 
     def sorted_triples(self) -> list[Triple]:
-        return sorted(self.triples, key=Triple.sort_key)
+        """Every triple in ``Triple.sort_key`` order, one subject after another."""
+        return list(chain.from_iterable(self._by_subject.values()))
 
 
 @dataclass(frozen=True, slots=True)

@@ -92,7 +92,7 @@ class Network:
     def node(self, node_id: str) -> NodeSim:
         try:
             return self.nodes[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: a name that cannot be a key
             raise SimulationError(f"unknown node {node_id}") from None
 
     def reachable(self, origin: str, hops: int) -> list[str]:
@@ -168,13 +168,14 @@ def _store_fragments(net: Network, frags: list[Fragment],
                      allocation: dict[str, Iterable[str]]) -> None:
     factor = net.config.replication_factor
     for f in frags:
-        holders = tuple(sorted(allocation[f.id], key=node_sort_key))
-        if len(holders) != factor:
-            raise SimulationError(f"fragment {f.id} needs exactly {factor} holders")
-        net.fragments[f.id] = f
-        net.allocation[f.id] = holders
+        holders = tuple(allocation[f.id])
         for h in holders:
             net.node(h)  # raises for a holder that is not a node
+        if len(holders) != factor or len(set(holders)) != factor:
+            raise SimulationError(f"fragment {f.id} needs exactly {factor} holders, "
+                                  f"each named once: {list(holders)}")
+        net.fragments[f.id] = f
+        net.allocation[f.id] = tuple(sorted(holders, key=node_sort_key))
 
 
 def upload(net: Network, graph: KnowledgeGraph, origin: str,

@@ -36,8 +36,9 @@ class UnsupportedFeatureError(QueryParseError):
         self.keyword = keyword
 
 
-PREFIX_NAME = "[A-Za-z_][A-Za-z0-9_-]*:"
-# a local part may hold "." but not end with it: "ex:o." is "ex:o" and a "."
+PREFIX_NAME = "[A-Za-z][A-Za-z0-9_-]*:"
+# a local part starts with a letter, digit or "_", and may hold "." but not
+# end with it: "ex:o." is "ex:o" and a "."
 _TOKEN = re.compile(
     rf"""
     (?P<skip>\s+|\#[^\n]*)
@@ -45,7 +46,7 @@ _TOKEN = re.compile(
   | (?P<literal>{LITERAL_PATTERN})
   | (?P<var>\?[A-Za-z_][A-Za-z0-9_]*)
   | (?P<number>[+-]?\d+(?:\.\d+)?)
-  | (?P<pname>{PREFIX_NAME}(?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)
+  | (?P<pname>{PREFIX_NAME}(?:[A-Za-z0-9_](?:[A-Za-z0-9_.\-]*[A-Za-z0-9_\-])?)?)
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[{{}}.*;,])
     """,

@@ -91,22 +91,22 @@ def exact_running_spbfs() -> dict[str, SPBF]:
     f3_subjects = tuple(f"d{i}" for i in range(100))
     f5_subjects = tuple(f"p{i}" for i in range(8000))
     return {
-        "f1": SPBF(tuple(sorted(RUNNING_CS["f1"])), _bag("s1_", 1000), {
+        "f1": SPBF(_bag("s1_", 1000), {
             NAT: _bag("x1_", 1000, f4_subjects[:50]),     # |∩ f4 subjects| = 50, f3 = 0
             AUTH: _bag("y1_", 5000, f5_subjects[:500]),   # |∩ f5 subjects| = 500
             DEATH: _bag("z1_", 1000),
         }),
-        "f2": SPBF(tuple(sorted(RUNNING_CS["f2"])), _bag("s2_", 2000), {
+        "f2": SPBF(_bag("s2_", 2000), {
             NAT: _bag("x2_", 2000, f3_subjects),          # |∩ f3 subjects| = 100, f4 = 0
             AUTH: _bag("y2_", 3000, f5_subjects[500:1500]),
         }),
-        "f3": SPBF(tuple(sorted(RUNNING_CS["f3"])), ExactBitset(f3_subjects), {
+        "f3": SPBF(ExactBitset(f3_subjects), {
             CAP: _bag("g3_", 100), CUR: _bag("h3_", 150), POP: _bag("i3_", 100),
         }),
-        "f4": SPBF(tuple(sorted(RUNNING_CS["f4"])), ExactBitset(f4_subjects), {
+        "f4": SPBF(ExactBitset(f4_subjects), {
             CAP: _bag("g4_", 200), CUR: _bag("h4_", 500),
         }),
-        "f5": SPBF(tuple(sorted(RUNNING_CS["f5"])), ExactBitset(f5_subjects), {
+        "f5": SPBF(ExactBitset(f5_subjects), {
             PUB: _bag("u5_", 8000), LANG: _bag("v5_", 9000),
         }),
     }

@@ -235,6 +235,16 @@ class TestSerialization:
         data = spbf_to_bytes(spbf)
         assert spbf_to_bytes(spbf_from_bytes(data)) == data
 
+    def test_read_back_estimates_exactly_like_built(self):
+        # subjects whose prefixes sort in another order than their terms do
+        subjects = ["http://a/b/c/s0", "http://a/b/s0", "http://a/s0", "http://a/s1"]
+        g = KnowledgeGraph(Triple(iri(s), iri("http://ex/p"), iri("http://ex/o"))
+                           for s in subjects)
+        spbf = build_spbf(fragment_by_cs(g)[0], PARAMS)
+        back = spbf_from_bytes(spbf_to_bytes(spbf))
+        assert back.subjects == spbf.subjects
+        assert back.subjects.estimate() == spbf.subjects.estimate()
+
     def test_params_mismatch_on_read(self):
         frag = TestSPBF().build_fragment()
         data = spbf_to_bytes(build_spbf(frag, PARAMS))

@@ -168,8 +168,7 @@ class TestExactBackendParity:
                           iri(f"http://ex/o{i % 7}")) for i in range(60)]
         frag = fragment_by_cs(KnowledgeGraph(triples))[0]
         from starbloom.bloom import ExactBitset, SPBF
-        exact = SPBF(frag.cs.predicates,
-                     ExactBitset({t.s.nt() for t in frag.triples}),
+        exact = SPBF(ExactBitset({t.s.nt() for t in frag.triples}),
                      {p: ExactBitset({t.o.nt() for t in frag.triples if t.p.lexical == p})
                       for p in frag.cs.predicates})
         st = StarPattern(Variable("s"),
@@ -206,7 +205,7 @@ class TestLeftToRightTotals:
     def tenths(self):
         # each fragment: 10 subjects, one object per predicate, so a
         # two-pattern star estimates 10 * (1/10) * (1/10) rows
-        spbfs = {f"g{i}": SPBF((self.P, self.Q), ExactBitset(f"s{j}" for j in range(10)),
+        spbfs = {f"g{i}": SPBF(ExactBitset(f"s{j}" for j in range(10)),
                                {self.P: ExactBitset({"a"}), self.Q: ExactBitset({"b"})})
                  for i in range(10)}
         s = Variable("s")

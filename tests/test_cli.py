@@ -402,7 +402,7 @@ class TestPersistedState:
         "no filter directory", "truncated filter", "flipped filter bit", "other bloom m",
         "no filter directory named", "no filter digests", "old format state",
         "state not utf-8", "state not json", "edited fragment", "missing fragment",
-        "unknown neighbour"])
+        "unknown neighbour", "holders not names", "holder not a name", "holder twice"])
     def test_broken_persisted_state_exit_code(self, created, broken):
         tmp_path, state, query = created
         filters = tmp_path / "net.json.filters"
@@ -440,6 +440,12 @@ class TestPersistedState:
             elif broken == "unknown neighbour":
                 data["topology"]["n1"][0] = "n6"
                 expected = "unknown neighbours: ['n6']"
+            elif broken in ("holders not names", "holder not a name", "holder twice"):
+                fid = min(data["allocation"])
+                data["allocation"][fid] = {"holders not names": [2, 5],
+                                           "holder not a name": [["n2"], "n5"],
+                                           "holder twice": ["n2", "n2"]}[broken]
+                expected = f"malformed allocation in state file {state}"
             elif broken == "no filter digests":
                 del data["filter_digests"]
                 expected = f"{first} does not have its recorded SHA-256; {recreate}"

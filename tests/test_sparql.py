@@ -146,6 +146,10 @@ def test_malformed_shorthand_rejected(body):
     ("PREFIX ex: <http://ex/>\nPREFIX ex:foo <http://ex/foo>\nSELECT * WHERE { ?s ?p ?o }",
      2, 8),
     ("SELECT ?s ?x WHERE { ?s <http://ex/p> ?o }", 1, 8),
+    # a local part starts with a letter, digit or '_'; a prefix with a letter
+    ("PREFIX ex: <http://ex/>\nSELECT * WHERE { ?s ex:p ex:.a }", 2, 30),
+    ("PREFIX ex: <http://ex/>\nSELECT * WHERE { ?s ex:p ex:-b }", 2, 29),
+    ("PREFIX _x: <http://ex/>\nSELECT * WHERE { ?s _x:p ?o }", 1, 10),
 ])
 def test_errors_name_line_and_column(text, line, column):
     with pytest.raises(QueryParseError) as err:
