@@ -10,8 +10,7 @@ from .bloom import SPBF, Summary, ordered_sum
 from .index import SPBFIndex
 from .model import StarPattern, Term, Variable
 from .plans import (Cartesian, EmptyPlan, Join, MalformedPlanError, Plan,
-                    Selection, Union_, branches_of, iter_selections, plan_stars,
-                    right_selections, star_fragments)
+                    Selection, Union_, branches_of, linked_stars, right_selections)
 
 
 class IrrelevantFragmentError(ValueError):
@@ -159,24 +158,25 @@ def edge_set(pairs) -> frozenset[tuple[str, str]]:
     return frozenset(tuple(sorted(p)) for p in pairs)
 
 
-def join_selectivity(branch: Plan, star: StarPattern, fragment: str,
-                     ctx: PlanContext) -> float:
-    """Most selective join-variable ratio between a branch and a right selection.
+def card_join_with_selection(branch: Plan, star: StarPattern, fragment: str,
+                             ctx: PlanContext, distinct: bool) -> float:
+    """Cardinality of (branch JOIN selection) for one right-side fragment: the
+    branch's cardinality times the most selective join-variable ratio.
 
-    For every star in the branch sharing a variable with ``star``, the numerator
-    sums intersections of the right fragment's filter with the branch fragments'
-    filters at that variable, over the branch fragments joining ``fragment``.
+    For every star in the branch sharing a variable with ``star``, a ratio's
+    numerator sums intersections of the right fragment's filter with the
+    branch fragments' filters at that variable, over the branch fragments
+    joining ``fragment``; its denominator sums those branch filters. Without
+    DISTINCT, right-side patterns that do not join the branch add their
+    duplicate factors.
     """
     spbf_r = ctx.spbfs[fragment]
-    by_star = star_fragments(branch)
     best: Optional[float] = None
-    for key, left_star in sorted(plan_stars(branch).items()):
-        shared = sorted(left_star.variables() & star.variables())
-        if not shared:
-            continue
-        left_frags = sorted(by_star.get(key, ()))
+    join_vars: set[str] = set()
+    for left_star, left_frags in linked_stars(branch, star):
         joining = [f for f in left_frags if ctx.joins(f, fragment)]
-        for v in shared:
+        for v in sorted(left_star.variables() & star.variables()):
+            join_vars.add(v)
             num = 0.0
             den = 0.0
             right_summary = position_summary(spbf_r, star, v)
@@ -190,23 +190,10 @@ def join_selectivity(branch: Plan, star: StarPattern, fragment: str,
                 den += _est(left_summary)
             sel = _ratio(num, den)
             best = sel if best is None else min(best, sel)
-    return best if best is not None else 0.0
-
-
-def card_join_with_selection(branch: Plan, star: StarPattern, fragment: str,
-                             ctx: PlanContext, distinct: bool) -> float:
-    """Cardinality of (branch JOIN selection) for one right-side fragment."""
-    base = _card_plan(branch, ctx, distinct)
-    card = base * join_selectivity(branch, star, fragment, ctx)
+    card = _card_plan(branch, ctx, distinct) * (best if best is not None else 0.0)
     if distinct:
         return card
-    # duplicate factors for right-side patterns that do not join the branch
-    join_vars = frozenset(
-        v for sel in iter_selections(branch)
-        for v in sel.star.variables() & star.variables())
-    spbf_r = ctx.spbfs[fragment]
-    card *= _predicate_ratios(star, spbf_r, join_vars=join_vars)
-    return card
+    return card * _predicate_ratios(star, spbf_r, join_vars=frozenset(join_vars))
 
 
 def card_plan(plan: Plan, ctx: PlanContext) -> float:

@@ -117,9 +117,12 @@ class StoredFragment(Fragment):
         if _sha256(data) != self.digest:
             raise FragmentStoreError(f"{self.path} changed after it was first read")
         try:
-            return parse_ntriples(_decode(data, self.path))
+            graph = parse_ntriples(_decode(data, self.path))
         except NTriplesError as e:
             raise FragmentStoreError(f"{self.path}: {e}") from e
+        if {t.p.lexical for t in graph} != set(self.cs.predicates):
+            raise FragmentStoreError(f"{self.path}: predicates differ from its manifest entry")
+        return graph
 
     def file_digest(self) -> str:
         return self.digest
@@ -307,8 +310,9 @@ def load_fragments(outdir: Path) -> list[StoredFragment]:
 def open_fragments(outdir: Path) -> list[StoredFragment]:
     """Read the manifest of a fragment directory and hash each fragment file;
     nothing is parsed until a fragment is used. A missing or unreadable
-    directory, manifest or fragment file, or a manifest line lacking a field,
-    raises ``FragmentStoreError`` naming the path or line."""
+    directory, manifest or fragment file, or a manifest line lacking a field
+    or whose id, file or predicates are not strings or whose subject count is
+    not a count, raises ``FragmentStoreError`` naming the path or line."""
     outdir = Path(outdir)
     manifest = outdir / "manifest.jsonl"
     frags: list[StoredFragment] = []
@@ -318,16 +322,20 @@ def open_fragments(outdir: Path) -> list[StoredFragment]:
         where = f"{manifest} line {lineno}"
         try:
             meta = json.loads(line)
-            path, fid = outdir / meta["file"], meta["id"]
-            cs = CharacteristicSet.of(meta["predicates"])
-            subject_count = meta["subject_count"]
+            fid, name, preds, subject_count = (meta["id"], meta["file"], meta["predicates"],
+                                               meta["subject_count"])
         except json.JSONDecodeError as e:
             raise FragmentStoreError(f"{where}: malformed JSON: {e.msg}") from e
         except KeyError as e:
             raise FragmentStoreError(f"{where}: missing field {e}") from e
         except TypeError as e:
             raise FragmentStoreError(f"{where}: malformed entry: {e}") from e
-        frags.append(StoredFragment(fid, cs, subject_count, path,
+        if not (isinstance(preds, list) and all(isinstance(x, str) for x in (fid, name, *preds))
+                and type(subject_count) is int and subject_count >= 0):
+            raise FragmentStoreError(f"{where}: id, file and predicates must be strings "
+                                     f"and subject_count a count")
+        path = outdir / name
+        frags.append(StoredFragment(fid, CharacteristicSet.of(preds), subject_count, path,
                                     _sha256(_read_bytes(path))))
     frags.sort(key=Fragment.sort_key)
     return frags

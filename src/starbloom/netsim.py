@@ -250,34 +250,28 @@ class _Executor:
         return rows
 
     def _run_join(self, plan: Join) -> list[Binding]:
+        """Each right selection matches the left rows in batches of at most
+        omega; a remote one gets each batch as a bindings message and pages
+        its joined rows back to the delegate."""
         delegate = plan.node
         left_rows = self.run(plan.left, delegate)
         out: list[Binding] = []
         for sel in right_selections(plan.right):
             if not left_rows:
                 break
-            if sel.node == delegate:
-                graph = self._local_star(sel, delegate)
-                for row in left_rows:
-                    out.extend(match_star(sel.star, graph, seed=row))
-            else:
-                out.extend(self._bind_join(left_rows, sel, delegate))
+            graph = self._local_star(sel, sel.node)
+            remote = sel.node != delegate
+            rows: list[Binding] = []
+            for i in range(0, len(left_rows), self.omega):
+                batch = left_rows[i:i + self.omega]
+                if remote:
+                    self._message("bindings", delegate, sel.node, _payload_bytes(batch), len(batch))
+                for row in batch:
+                    rows.extend(match_star(sel.star, graph, seed=row))
+            if remote:
+                self._ship_results(rows, sel.node, delegate)
+            out.extend(rows)
         return out
-
-    def _bind_join(self, left_rows: list[Binding], sel: Selection,
-                   delegate: str) -> list[Binding]:
-        """Ship bindings in batches of <= omega to the selection's holder; the
-        joined results come back paged."""
-        graph = self._local_star(sel, sel.node)
-        results: list[Binding] = []
-        batches = ceil(len(left_rows) / self.omega)
-        for i in range(batches):
-            batch = left_rows[i * self.omega:(i + 1) * self.omega]
-            self._message("bindings", delegate, sel.node, _payload_bytes(batch), len(batch))
-            for row in batch:
-                results.extend(match_star(sel.star, graph, seed=row))
-        self._ship_results(results, sel.node, delegate)
-        return results
 
     def _run_cartesian(self, plan: Cartesian) -> list[Binding]:
         delegate = plan.node
@@ -335,8 +329,7 @@ def run_query(net: Network, query: Query, origin: str) -> tuple[list[Binding], M
 
 def run_baseline(net: Network, query: Query, origin: str) -> tuple[list[Binding], Metrics]:
     """Execute the no-pruning reference plan (used to quantify pruning value)."""
-    plan, _ = baseline_plan(query, net.node(origin).index, origin)
-    return execute_plan(net, plan, origin, query)
+    return execute_plan(net, baseline_plan(query, net.node(origin).index, origin), origin, query)
 
 
 # -- state files ---------------------------------------------------------------

@@ -13,8 +13,8 @@ from .cardinality import (PlanContext, card_join_with_selection, card_plan,
 from .index import SPBFIndex
 from .model import Query, StarPattern, star_decompose
 from .plans import (Cartesian, EmptyPlan, Join, MalformedPlanError, Plan,
-                    Selection, Union_, branches_of, plan_stars, right_selections,
-                    star_fragments, union_of)
+                    Selection, Union_, branches_of, linked_stars, right_selections,
+                    union_of)
 
 
 def node_sort_key(node_id: str) -> tuple:
@@ -219,8 +219,10 @@ class OptimizeResult:
     def fill_table(self) -> None:
         """Plan every star subset not yet in the table."""
         if self.planner is not None:
-            for subset in _subsets(sorted(self.planner.stars)):
-                self.entry(*subset)
+            keys = sorted(self.planner.stars)
+            for size in range(1, len(keys) + 1):
+                for subset in itertools.combinations(keys, size):
+                    self.entry(*subset)
 
 
 def _chain_order(stars: list[StarPattern], cards: dict[str, float]) -> list[tuple[StarPattern, bool]]:
@@ -287,11 +289,9 @@ class _Planner:
         candidates = self.compat.star_fragments[star.key]
         if cartesian:
             return tuple(candidates)
-        frags_by_star = star_fragments(branch)
-        linked = [k for k, st in plan_stars(branch).items() if _vars_overlap(st, star)]
+        linked = linked_stars(branch, star)
         return tuple(fid for fid in candidates
-                     if all(any(self.ctx.joins(fid, f) for f in frags_by_star[key])
-                            for key in linked))
+                     if all(any(self.ctx.joins(fid, f) for f in frags) for _, frags in linked))
 
     def extend(self, branches: list[Plan], star: StarPattern, cartesian: bool) -> list[Plan]:
         """Join (or cross) a new star onto each surviving branch; branches with
@@ -372,23 +372,13 @@ def optimize(query: Query, index: SPBFIndex, origin: str) -> OptimizeResult:
     return OptimizeResult(table[full].plan, table, compat, ctx, origin, planner)
 
 
-def _subsets(keys: list[str]) -> list[tuple[str, ...]]:
-    out: list[tuple[str, ...]] = []
-    for mask in range(1, 1 << len(keys)):
-        out.append(tuple(keys[i] for i in range(len(keys)) if mask & (1 << i)))
-    out.sort(key=lambda s: (len(s), s))
-    return out
-
-
-def baseline_plan(query: Query, index: SPBFIndex, origin: str) -> tuple[Plan, PlanContext]:
+def baseline_plan(query: Query, index: SPBFIndex, origin: str) -> Plan:
     """No-pruning reference: every relevant fragment per star, one join per
     star in the same greedy order, everything delegated to the origin."""
     stars = star_decompose(query.bgp)
-    ctx = PlanContext(spbfs=index.filters, edges=frozenset(), distinct=query.distinct)
-
     relevant = {st.key: tuple(index.relevant_fragments(st)) for st in stars}
     if any(not fids for fids in relevant.values()):
-        return EmptyPlan(), ctx
+        return EmptyPlan()
 
     def right(star: StarPattern) -> Plan:
         return union_of([placed_selection(star, fid, index, origin) for fid in relevant[star.key]])
@@ -402,7 +392,7 @@ def baseline_plan(query: Query, index: SPBFIndex, origin: str) -> tuple[Plan, Pl
     plan = right(order[0][0])
     for st, cartesian in order[1:]:
         plan = Cartesian(plan, right(st), origin) if cartesian else Join(plan, right(st), origin)
-    return plan, ctx
+    return plan
 
 
 # -- explain -------------------------------------------------------------------

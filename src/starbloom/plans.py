@@ -101,16 +101,14 @@ def iter_selections(plan: Plan) -> Iterator[Selection]:
             yield from iter_selections(b)
 
 
-def star_fragments(plan: Plan) -> dict[str, set[str]]:
-    """Fragments appearing in the plan, grouped by star key."""
-    out: dict[str, set[str]] = {}
+def linked_stars(plan: Plan, star: StarPattern) -> list[tuple[StarPattern, tuple[str, ...]]]:
+    """The plan's stars that share a variable with ``star``, in star-key
+    order, each with its fragments in the plan, sorted."""
+    found: dict[str, tuple[StarPattern, set[str]]] = {}
     for sel in iter_selections(plan):
-        out.setdefault(sel.star.key, set()).add(sel.fragment)
-    return out
-
-
-def plan_stars(plan: Plan) -> dict[str, StarPattern]:
-    return {sel.star.key: sel.star for sel in iter_selections(plan)}
+        if sel.star.variables() & star.variables():
+            found.setdefault(sel.star.key, (sel.star, set()))[1].add(sel.fragment)
+    return [(st, tuple(sorted(fids))) for _, (st, fids) in sorted(found.items())]
 
 
 def render_plan(plan: Plan) -> str:

@@ -205,20 +205,33 @@ class TestNetworkCommand:
 
     @pytest.mark.parametrize("broken", [
         "missing directory", "missing manifest",
-        "no file", "no id", "no predicates", "no subject_count"])
+        "no file", "no id", "no predicates", "no subject_count",
+        "predicates not strings", "predicates a string", "id not a string",
+        "subject_count negative",
+        "subject_count not an int", "other predicates"])
     def test_broken_fragment_directory_exit_code(self, workspace, broken):
         tmp_path, data, _ = workspace
         frag_dir = tmp_path / "frags"
+        expected = "manifest.jsonl" if broken.startswith("missing") else "line 1"
         if broken != "missing directory":
             main(["fragment", str(data), str(frag_dir), "--min-subjects", "1"])
             manifest = frag_dir / "manifest.jsonl"
             if broken == "missing manifest":
                 manifest.unlink()
             else:
-                field = broken.split(" ", 1)[1]
                 lines = manifest.read_text(encoding="utf-8").splitlines()
                 meta = json.loads(lines[0])
-                del meta[field]
+                if broken.startswith("no "):
+                    del meta[broken[3:]]
+                else:
+                    meta.update({"predicates not strings": {"predicates": [1, 2]},
+                                 "predicates a string": {"predicates": meta["predicates"][0]},
+                                 "id not a string": {"id": 7},
+                                 "subject_count negative": {"subject_count": -1},
+                                 "subject_count not an int": {"subject_count": "3"},
+                                 "other predicates": {"predicates": ["http://ex/zzz"]}}[broken])
+                if broken == "other predicates":  # the file holds other predicates
+                    expected = f"{meta['file']}: predicates differ from its manifest entry"
                 lines[0] = json.dumps(meta)
                 manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         proc = run_cli_subprocess(["network", "create", str(tmp_path / "net.json"),
@@ -226,7 +239,6 @@ class TestNetworkCommand:
         assert proc.returncode == EXIT_DATA
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
-        expected = "manifest.jsonl" if broken.startswith("missing") else "line 1"
         assert expected in proc.stderr
 
 
@@ -402,7 +414,8 @@ class TestPersistedState:
         "no filter directory", "truncated filter", "flipped filter bit", "other bloom m",
         "no filter directory named", "no filter digests", "old format state",
         "state not utf-8", "state not json", "edited fragment", "missing fragment",
-        "unknown neighbour", "holders not names", "holder not a name", "holder twice"])
+        "unknown neighbour", "holders not names", "holder not a name", "holder twice",
+        "manifest predicates not strings"])
     def test_broken_persisted_state_exit_code(self, created, broken):
         tmp_path, state, query = created
         filters = tmp_path / "net.json.filters"
@@ -433,6 +446,14 @@ class TestPersistedState:
             else:
                 fragment.unlink()
             expected = fragment.name
+        elif broken == "manifest predicates not strings":
+            manifest = tmp_path / "frags" / "manifest.jsonl"
+            lines = manifest.read_text(encoding="utf-8").splitlines()
+            meta = json.loads(lines[0])
+            meta["predicates"] = [1, 2]
+            lines[0] = json.dumps(meta)
+            manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            expected = f"{manifest} line 1: "
         else:
             data = json.loads(state.read_text(encoding="utf-8"))
             if broken == "other bloom m":

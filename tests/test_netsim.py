@@ -23,7 +23,7 @@ from starbloom.netsim import (MESSAGE_HEADER_BYTES, NetworkConfig,
                               measure_relevance, network_from_layout,
                               place_fragments, run_query, upload)
 from starbloom.planner import explain, optimize
-from starbloom.plans import Join, Selection
+from starbloom.plans import Join, Selection, Union_
 from starbloom.sparql import parse_query
 
 
@@ -146,31 +146,66 @@ class TestExecutePlan:
         assert metrics.relevant_nodes == 5
 
     def test_bind_join_batching(self):
-        """65 left rows, omega 30: 3 binding batches to the remote holder."""
-        p, q = "http://ex/p", "http://ex/q"
+        """65 left rows, omega 30: 3 binding batches to the remote holder. With
+        a union of a local and a remote right selection only the remote one
+        gets the batches, and rows keep the union's order; an empty left side
+        sends nothing."""
+        p, q, r = "http://ex/p", "http://ex/q", "http://ex/r"
+
+        def network(triples, holders):
+            cfg = NetworkConfig(node_count=2, neighbor_count=1, replication_factor=1,
+                                horizon=2, rng_seed=1, bloom=BloomParams(m=4096, k=3),
+                                omega=30, page_size=100)
+            net = network_from_layout(cfg, {"n1": ["n2"], "n2": ["n1"]})
+            frags = {f.cs.predicates: f for f in fragment_by_cs(KnowledgeGraph(triples))}
+            place_fragments(net, frags.values(), "n1",
+                            allocation={frags[preds].id: (node,) for preds, node in holders.items()})
+            return net, {preds: f.id for preds, f in frags.items()}
+
         triples = []
         for i in range(65):
             triples.append(Triple(iri(f"http://ex/s{i}"), iri(p), iri(f"http://ex/m{i}")))
             triples.append(Triple(iri(f"http://ex/m{i}"), iri(q), iri(f"http://ex/o{i}")))
-        graph = KnowledgeGraph(triples)
-        cfg = NetworkConfig(node_count=2, neighbor_count=1, replication_factor=1,
-                            horizon=2, rng_seed=1, bloom=BloomParams(m=4096, k=3),
-                            omega=30, page_size=100)
-        net = network_from_layout(cfg, {"n1": ["n2"], "n2": ["n1"]})
-        frags = fragment_by_cs(graph)
-        left = next(f for f in frags if f.cs.predicates == (p,))
-        right = next(f for f in frags if f.cs.predicates == (q,))
-        place_fragments(net, frags, "n1",
-                        allocation={left.id: ("n1",), right.id: ("n2",)})
+        net, fids = network(triples, {(p,): "n1", (q,): "n2"})
         query = parse_query(f"SELECT * WHERE {{ ?s <{p}> ?m . ?m <{q}> ?o . }}")
         from starbloom.model import star_decompose
         stars = {st.key: st for st in star_decompose(query.bgp)}
-        plan = Join(Selection(stars["?s"], left.id, "n1"),
-                    Selection(stars["?m"], right.id, "n2"), "n1")
+        plan = Join(Selection(stars["?s"], fids[(p,)], "n1"),
+                    Selection(stars["?m"], fids[(q,)], "n2"), "n1")
         rows, metrics = execute_plan(net, plan, "n1", query)
         assert len(rows) == 65
         # 3 batches + 1 result page; everything else local
         assert metrics.requests == ceil(65 / 30) + ceil(65 / 100)
+
+        # m40..m64 also have r: their ?m rows come from a local fragment
+        triples += [Triple(iri(f"http://ex/m{i}"), iri(r), iri(f"http://ex/r{i}"))
+                    for i in range(40, 65)]
+        net, fids = network(triples, {(p,): "n1", (q,): "n2", (q, r): "n1"})
+        local = Selection(stars["?m"], fids[(q, r)], "n1")
+        remote = Selection(stars["?m"], fids[(q,)], "n2")
+        trace: list[str] = []
+        rows, metrics = execute_plan(
+            net, Join(Selection(stars["?s"], fids[(p,)], "n1"), Union_((local, remote)), "n1"),
+            "n1", query, trace)
+        # a bindings row is 36 bytes for a one-digit index and 38 for two; a
+        # result row is 54 or 57; each message adds a 64-byte header
+        assert trace == ["bindings n1->n2 bytes=1198 rows=30",
+                         "bindings n1->n2 bytes=1198 rows=30",
+                         "bindings n1->n2 bytes=246 rows=5",
+                         "page n2->n1 bytes=2314 rows=40"]
+        # left rows come in the N-Triples order of ?s; the local selection's first
+        left = sorted(range(65), key=lambda i: f"<http://ex/s{i}>")
+        assert [row["m"].lexical for row in rows] == (
+            [f"http://ex/m{i}" for i in left if i >= 40] + [f"http://ex/m{i}" for i in left if i < 40])
+
+        # a left side without rows sends no message, not even to a remote selection
+        (nothing,) = star_decompose(parse_query(
+            f"SELECT * WHERE {{ ?s <{p}> ?m . ?s <{p}> <http://ex/nowhere> . }}").bgp)
+        trace = []
+        rows, metrics = execute_plan(
+            net, Join(Selection(nothing, fids[(p,)], "n1"), Union_((local, remote)), "n1"),
+            "n1", trace=trace)
+        assert (rows, trace, metrics.requests, metrics.transferred_bytes) == ([], [], 0, 0)
 
     def test_missing_fragment_guard(self):
         net, names = build_running_network(m=4096, k=3)

@@ -17,8 +17,8 @@ from starbloom.model import Query, TriplePattern, Variable, iri, star_decompose
 from starbloom.planner import (compatibility_graph, cost, explain,
                                node_sort_key, optimize, transfer_cost)
 from starbloom.plans import (Cartesian, EmptyPlan, Join, Selection, Union_,
-                             branches_of, iter_selections, render_plan,
-                             right_selections)
+                             branches_of, iter_selections, linked_stars,
+                             render_plan, right_selections)
 from starbloom.sparql import parse_query
 
 EDGES = frozenset({("f1", "f4"), ("f1", "f5"), ("f2", "f3"), ("f2", "f5")})
@@ -333,6 +333,23 @@ def test_lazy_optimize_matches_eager_reference():
             seen["cartesian"] += _components(stars) > 1
             seen["distinct"] += query.distinct
     assert seen["nonempty"] >= 60 and min(seen.values()) >= 5, seen
+
+
+def test_linked_stars_walks_a_branch_once_in_key_order():
+    """Stars sharing a variable with the right star come in key order, each
+    once with its fragments from every union branch, sorted; stars sharing
+    none are left out."""
+    a, b, c, x = star_decompose(parse_query(
+        "SELECT * WHERE { ?a <http://ex/p> ?b . ?b <http://ex/q> ?c . "
+        "?c <http://ex/r> ?d . ?x <http://ex/s> ?y . }").bgp)
+    assert [st.key for st in (a, b, c, x)] == ["?a", "?b", "?c", "?x"]
+    branch = Cartesian(Union_((
+        Join(Selection(c, "f5", "n1"), Selection(a, "f3", "n1"), "n1"),
+        Join(Selection(c, "f4", "n2"), Union_((Selection(a, "f1", "n2"),
+                                               Selection(a, "f3", "n2"))), "n2"))),
+        Selection(x, "f0", "n1"), "n1")
+    assert linked_stars(branch, b) == [(a, ("f1", "f3")), (c, ("f4", "f5"))]
+    assert linked_stars(Selection(a, "f1", "n1"), x) == []
 
 
 class TestScaleInvariance:
