@@ -99,13 +99,15 @@ class StoredFragment(Fragment):
 
     The file is parsed on the first use of ``graph()`` or ``triples``, and the
     parsed graph is kept; a file that no longer has the pinned digest raises
-    ``FragmentStoreError`` instead.
+    ``FragmentStoreError`` instead. ``terms`` is the token -> term table that
+    the fragments opened together share, so a token's term is built once per
+    fragment directory.
     """
 
     def __init__(self, id: str, cs: CharacteristicSet, subject_count: int,
-                 path: Path, digest: str):
+                 path: Path, digest: str, terms: dict[str, Term]):
         for name, value in (("id", id), ("cs", cs), ("subject_count", subject_count),
-                            ("path", path), ("digest", digest)):
+                            ("path", path), ("digest", digest), ("terms", terms)):
             object.__setattr__(self, name, value)
 
     @property
@@ -117,7 +119,7 @@ class StoredFragment(Fragment):
         if _sha256(data) != self.digest:
             raise FragmentStoreError(f"{self.path} changed after it was first read")
         try:
-            graph = parse_ntriples(_decode(data, self.path))
+            graph = parse_ntriples(_decode(data, self.path), self.terms)
         except NTriplesError as e:
             raise FragmentStoreError(f"{self.path}: {e}") from e
         if {t.p.lexical for t in graph} != set(self.cs.predicates):
@@ -312,10 +314,14 @@ def open_fragments(outdir: Path) -> list[StoredFragment]:
     nothing is parsed until a fragment is used. A missing or unreadable
     directory, manifest or fragment file, or a manifest line lacking a field
     or whose id, file or predicates are not strings or whose subject count is
-    not a count, raises ``FragmentStoreError`` naming the path or line."""
+    not a count, raises ``FragmentStoreError`` naming the path or line; so does
+    a manifest line that repeats an earlier line's id or file, naming both
+    lines."""
     outdir = Path(outdir)
     manifest = outdir / "manifest.jsonl"
     frags: list[StoredFragment] = []
+    terms: dict[str, Term] = {}
+    first_line: dict[tuple[str, object], int] = {}  # ("id", id) or ("file", path) -> line
     for lineno, line in enumerate(_decode(_read_bytes(manifest), manifest).splitlines(), 1):
         if not line.strip():
             continue
@@ -335,8 +341,13 @@ def open_fragments(outdir: Path) -> list[StoredFragment]:
             raise FragmentStoreError(f"{where}: id, file and predicates must be strings "
                                      f"and subject_count a count")
         path = outdir / name
+        for key in (("id", fid), ("file", path)):
+            seen = first_line.setdefault(key, lineno)
+            if seen != lineno:
+                raise FragmentStoreError(f"{where}: duplicate {key[0]} {key[1]}, "
+                                         f"as on line {seen}")
         frags.append(StoredFragment(fid, CharacteristicSet.of(preds), subject_count, path,
-                                    _sha256(_read_bytes(path))))
+                                    _sha256(_read_bytes(path)), terms))
     frags.sort(key=Fragment.sort_key)
     return frags
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Iterator, Optional, Union
 
@@ -18,12 +18,21 @@ BLANK_PREFIX = "_bn:"
 
 @dataclass(frozen=True, slots=True)
 class Term:
-    """An RDF term. ``lexical`` is the IRI, blank-node label, or literal value."""
+    """An RDF term. ``lexical`` is the IRI, blank-node label, or literal value.
+    The hash is computed once, when the term is made."""
 
     kind: str
     lexical: str
     datatype: Optional[str] = None
     lang: Optional[str] = None
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash",
+                           hash((self.kind, self.lexical, self.datatype, self.lang)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def prefix(self) -> str:
@@ -105,15 +114,22 @@ PatternTerm = Union[Term, Variable]
 
 @dataclass(frozen=True, slots=True)
 class Triple:
+    """A triple; like a term, it computes its hash once."""
+
     s: Term
     p: Term
     o: Term
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.s.kind == LITERAL:
             raise ValueError("triple subject cannot be a literal")
         if self.p.kind != IRI:
             raise ValueError("triple predicate must be an IRI")
+        object.__setattr__(self, "_hash", hash((self.s, self.p, self.o)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def nt(self) -> str:
         return f"{self.s.nt()} {self.p.nt()} {self.o.nt()} ."

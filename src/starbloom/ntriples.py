@@ -4,7 +4,7 @@ RDF term grammar that N-Triples and the SPARQL lexer share."""
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .model import (IRI, LITERAL, LITERAL_UNESCAPES, KnowledgeGraph, Term, Triple,
                     blank, iri, literal)
@@ -14,9 +14,12 @@ from .model import (IRI, LITERAL, LITERAL_UNESCAPES, KnowledgeGraph, Term, Tripl
 # which may hold but not end in '.'.
 IRI_PATTERN = r"<[^<>\s]*>"
 LITERAL_PATTERN = r'"(?:[^"\\]|\\.)*"(?:@[A-Za-z][A-Za-z0-9-]*|\^\^' + IRI_PATTERN + ")?"
+BLANK_PATTERN = r"_:[\w.-]*[\w-]"
 
 # Spaces and tabs, then one term; group 1 is None where no term starts.
-_TERM = re.compile(rf"[ \t]*({IRI_PATTERN}|{LITERAL_PATTERN}|_:[\w.-]*[\w-])?")
+_TERM = re.compile(rf"[ \t]*({IRI_PATTERN}|{LITERAL_PATTERN}|{BLANK_PATTERN})?")
+# Exactly one term, for the tokens of a line split at single spaces.
+_WHOLE_TERM = re.compile(rf"{IRI_PATTERN}|{LITERAL_PATTERN}|{BLANK_PATTERN}")
 _ESCAPE_SEQUENCE = re.compile(r"\\(u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8}|.)", re.DOTALL)
 _LINE_END = re.compile(r"\r\n?|\n")
 
@@ -74,9 +77,19 @@ def _no_term(line: str, pos: int) -> str:
     return f"unexpected character {line[pos:pos + 1]!r}"
 
 
+def _term_of(token: str) -> Term:
+    """The term of a token of the grammar above; a bad escape or an IRI that
+    is not absolute raises ValueError."""
+    t = parse_term(token)
+    named = t.lexical if t.kind == IRI else t.datatype
+    if named is not None and ":" not in named:
+        raise ValueError(f"IRI is not absolute: <{named}>")
+    return t
+
+
 def _read_term(line: str, pos: int, lineno: int, terms: dict[str, Term]) -> tuple[Term, int]:
     """The term after ``pos`` and the position after it. ``terms`` holds the
-    term of every token read so far in this parse."""
+    term of every token read so far with the same table."""
     m = _TERM.match(line, pos)
     token = m.group(1)
     if token is None:
@@ -87,39 +100,73 @@ def _read_term(line: str, pos: int, lineno: int, terms: dict[str, Term]) -> tupl
     t = terms.get(token)
     if t is None:
         try:
-            t = parse_term(token)
+            t = terms[token] = _term_of(token)
         except ValueError as e:
             raise NTriplesError(str(e), lineno) from None
-        named = t.lexical if t.kind == IRI else t.datatype
-        if named is not None and ":" not in named:
-            raise NTriplesError(f"IRI is not absolute: <{named}>", lineno)
-        terms[token] = t
     return t, m.end()
 
 
-def parse_ntriples(source: str) -> KnowledgeGraph:
+def _read_line(line: str, lineno: int, terms: dict[str, Term]) -> Optional[Triple]:
+    """The triple of any line, term by term, or None for a blank or comment
+    line. Every parse error comes from here."""
+    line = line.strip()
+    if not line or line[0] == "#":
+        return None
+    s, pos = _read_term(line, 0, lineno, terms)
+    if s.kind == LITERAL:
+        raise NTriplesError("subject must be an IRI or blank node", lineno)
+    p, pos = _read_term(line, pos, lineno, terms)
+    if p.kind != IRI:
+        raise NTriplesError("predicate must be an IRI", lineno)
+    o, pos = _read_term(line, pos, lineno, terms)
+    rest = line[pos:].lstrip(" \t")
+    if rest[:1] != ".":
+        raise NTriplesError("missing terminating '.'", lineno)
+    if rest[1:].lstrip()[:1] not in ("", "#"):
+        raise NTriplesError("trailing content after '.'", lineno)
+    return Triple(s, p, o)
+
+
+def _split_term(token: str, terms: dict[str, Term]) -> Optional[Term]:
+    """The term of a token that ``_read_line`` would read as a whole, or None
+    where it would read another token or raise."""
+    t = terms.get(token)
+    if t is None and _WHOLE_TERM.fullmatch(token):
+        try:
+            t = terms[token] = _term_of(token)
+        except ValueError:
+            return None
+    return t
+
+
+def parse_ntriples(source: str, terms: Optional[dict[str, Term]] = None) -> KnowledgeGraph:
     """Parse decoded N-Triples text into a graph; duplicate lines collapse (set
     semantics). Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` only, so a literal may
-    hold any other line-separator character."""
-    terms: dict[str, Term] = {}
+    hold any other line-separator character.
+
+    A line as ``serialize_ntriples`` writes it (three terms separated by single
+    spaces, then `` .``) is split in one call; any other line, and one whose
+    split yields a token that is not one whole valid term or a term of the
+    wrong kind, is read term by term, which gives the same triple or the
+    error. ``terms`` maps token text to its term, so each distinct token is
+    built once per table; by default the table lives for this parse only."""
+    if terms is None:
+        terms = {}
     triples: set[Triple] = set()
     for lineno, line in enumerate(_LINE_END.split(source), start=1):
-        line = line.strip()
-        if not line or line[0] == "#":
-            continue
-        s, pos = _read_term(line, 0, lineno, terms)
-        if s.kind == LITERAL:
-            raise NTriplesError("subject must be an IRI or blank node", lineno)
-        p, pos = _read_term(line, pos, lineno, terms)
-        if p.kind != IRI:
-            raise NTriplesError("predicate must be an IRI", lineno)
-        o, pos = _read_term(line, pos, lineno, terms)
-        rest = line[pos:].lstrip(" \t")
-        if rest[:1] != ".":
-            raise NTriplesError("missing terminating '.'", lineno)
-        if rest[1:].lstrip()[:1] not in ("", "#"):
-            raise NTriplesError("trailing content after '.'", lineno)
-        triples.add(Triple(s, p, o))
+        parts = line.split(" ", 2)
+        if len(parts) == 3 and parts[2][-2:] == " .":
+            s = _split_term(parts[0], terms)
+            if s is not None and s.kind != LITERAL:
+                p = _split_term(parts[1], terms)
+                if p is not None and p.kind == IRI:
+                    o = _split_term(parts[2][:-2], terms)
+                    if o is not None:
+                        triples.add(Triple(s, p, o))
+                        continue
+        triple = _read_line(line, lineno, terms)
+        if triple is not None:
+            triples.add(triple)
     return KnowledgeGraph(triples)
 
 

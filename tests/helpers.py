@@ -6,6 +6,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+import re
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -13,11 +14,12 @@ from starbloom.bloom import BloomParams, ExactBitset, SPBF, ordered_sum
 from starbloom.cardinality import PlanContext, card_star
 from starbloom.fragments import fragment_by_cs
 from starbloom.index import SPBFIndex
-from starbloom.model import (Binding, KnowledgeGraph, Query, StarPattern, Triple,
-                             TriplePattern, Variable, _match_pattern, iri,
+from starbloom.model import (IRI, LITERAL, Binding, KnowledgeGraph, Query, StarPattern,
+                             Term, Triple, TriplePattern, Variable, _match_pattern, iri,
                              star_decompose)
 from starbloom.netsim import Network, NetworkConfig, network_from_layout, place_fragments
-from starbloom.ntriples import parse_ntriples
+from starbloom.ntriples import (BLANK_PATTERN, IRI_PATTERN, LITERAL_PATTERN, NTriplesError,
+                                _LINE_END, _no_term, parse_ntriples, parse_term)
 from starbloom.planner import (CompatibilityGraph, DPEntry, OptimizeResult, _Planner,
                                _filters_overlap, _vars_overlap, compatibility_graph)
 from starbloom.plans import EmptyPlan, Plan, iter_selections
@@ -234,6 +236,56 @@ def reference_match_star(star: StarPattern, graph: KnowledgeGraph,
 
     walk(0, dict(seed or {}))
     return results
+
+
+_REFERENCE_TERM = re.compile(rf"[ \t]*({IRI_PATTERN}|{LITERAL_PATTERN}|{BLANK_PATTERN})?")
+
+
+def reference_parse_ntriples(source: str) -> KnowledgeGraph:
+    """Read every line term by term, each term with one match of one pattern.
+    ``parse_ntriples`` must return an equal graph, or raise ``NTriplesError``
+    with the same line and message."""
+    terms: dict[str, Term] = {}
+
+    def read_term(line: str, pos: int, lineno: int) -> tuple[Term, int]:
+        m = _REFERENCE_TERM.match(line, pos)
+        token = m.group(1)
+        if token is None:
+            raise NTriplesError(_no_term(line, m.end()), lineno)
+        if token[0] == '"' and line.startswith(("@", "^^"), m.end()):
+            raise NTriplesError("malformed language tag" if line[m.end()] == "@"
+                                else _no_term(line, m.end() + 2), lineno)
+        t = terms.get(token)
+        if t is None:
+            try:
+                t = parse_term(token)
+            except ValueError as e:
+                raise NTriplesError(str(e), lineno) from None
+            named = t.lexical if t.kind == IRI else t.datatype
+            if named is not None and ":" not in named:
+                raise NTriplesError(f"IRI is not absolute: <{named}>", lineno)
+            terms[token] = t
+        return t, m.end()
+
+    triples: set[Triple] = set()
+    for lineno, line in enumerate(_LINE_END.split(source), start=1):
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        s, pos = read_term(line, 0, lineno)
+        if s.kind == LITERAL:
+            raise NTriplesError("subject must be an IRI or blank node", lineno)
+        p, pos = read_term(line, pos, lineno)
+        if p.kind != IRI:
+            raise NTriplesError("predicate must be an IRI", lineno)
+        o, pos = read_term(line, pos, lineno)
+        rest = line[pos:].lstrip(" \t")
+        if rest[:1] != ".":
+            raise NTriplesError("missing terminating '.'", lineno)
+        if rest[1:].lstrip()[:1] not in ("", "#"):
+            raise NTriplesError("trailing content after '.'", lineno)
+        triples.add(Triple(s, p, o))
+    return KnowledgeGraph(triples)
 
 
 class _NoCache(dict):

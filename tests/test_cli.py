@@ -208,7 +208,7 @@ class TestNetworkCommand:
         "no file", "no id", "no predicates", "no subject_count",
         "predicates not strings", "predicates a string", "id not a string",
         "subject_count negative",
-        "subject_count not an int", "other predicates"])
+        "subject_count not an int", "other predicates", "duplicate id", "duplicate file"])
     def test_broken_fragment_directory_exit_code(self, workspace, broken):
         tmp_path, data, _ = workspace
         frag_dir = tmp_path / "frags"
@@ -221,8 +221,15 @@ class TestNetworkCommand:
             else:
                 lines = manifest.read_text(encoding="utf-8").splitlines()
                 meta = json.loads(lines[0])
+                second = json.loads(lines[1])
                 if broken.startswith("no "):
                     del meta[broken[3:]]
+                elif broken == "duplicate id":
+                    meta["id"] = second["id"]
+                    expected = f"line 2: duplicate id {second['id']}, as on line 1"
+                elif broken == "duplicate file":  # with that file's predicates
+                    meta.update(file=second["file"], predicates=second["predicates"])
+                    expected = f"line 2: duplicate file {frag_dir / second['file']}, as on line 1"
                 else:
                     meta.update({"predicates not strings": {"predicates": [1, 2]},
                                  "predicates a string": {"predicates": meta["predicates"][0]},

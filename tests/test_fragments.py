@@ -242,7 +242,7 @@ def count_parses(monkeypatch) -> list[str]:
     parsed: list[str] = []
     parse = fragments_module.parse_ntriples
     monkeypatch.setattr(fragments_module, "parse_ntriples",
-                        lambda text: parsed.append(text) or parse(text))
+                        lambda text, terms: parsed.append(text) or parse(text, terms))
     return parsed
 
 
@@ -277,3 +277,27 @@ def test_fragment_file_changed_after_opening(tmp_path):
     f.path.write_text("".join(lines[1:]), encoding="utf-8")
     with pytest.raises(FragmentStoreError, match="changed after it was first read"):
         f.graph()
+
+
+def term_objects(frags) -> dict:
+    """Each term of the fragments' triples -> (the ids of the objects equal to
+    it, the ids of the fragments it occurs in)."""
+    found: dict = {}
+    for f in frags:
+        for triple in f.triples:
+            for term in (triple.s, triple.p, triple.o):
+                objects, where = found.setdefault(term, (set(), set()))
+                objects.add(id(term))
+                where.add(f.id)
+    return found
+
+
+def test_fragments_opened_together_share_each_term(tmp_path):
+    write_fragments(fragment_by_cs(random_graph(9)), tmp_path)
+    first, second = load_fragments(tmp_path), load_fragments(tmp_path)
+    terms = term_objects(first)
+    assert any(len(where) > 1 for _, where in terms.values())
+    assert all(len(objects) == 1 for objects, _ in terms.values())
+    again = term_objects(second)
+    assert again.keys() == terms.keys()
+    assert all(objects.isdisjoint(again[term][0]) for term, (objects, _) in terms.items())

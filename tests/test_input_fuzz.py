@@ -1,16 +1,19 @@
 """Seeded input fuzzing. Every truncated, byte-flipped or byte-inserted
 variant of N-Triples or query text either parses or raises the format's own
-error, never another exception. A stored network with one such file (the
-state file, a filter file, the fragment manifest or a fragment file) either
-answers the running query with the oracle's rows or exits 2, 3 or 4."""
+error, never another exception, and ``parse_ntriples`` reads each N-Triples
+variant as the term-by-term reference reader does. A stored network with one
+such file (the state file, a filter file, the fragment manifest or a
+fragment file) either answers the running query with the oracle's rows or
+exits 2, 3 or 4."""
 
 import random
 
 import pytest
 
-from helpers import RUNNING_DATA, RUNNING_QUERY
+from helpers import RUNNING_DATA, RUNNING_QUERY, reference_parse_ntriples
 from starbloom import cli
-from starbloom.ntriples import NTriplesError, parse_ntriples
+from starbloom.fragments import fragment_by_cs, merge_infrequent
+from starbloom.ntriples import NTriplesError, parse_ntriples, serialize_ntriples
 from starbloom.sparql import QueryParseError, parse_query
 from test_cli import CREATE_ARGS, oracle_rows
 
@@ -76,6 +79,84 @@ def test_mutated_input_parses_or_raises_its_own_error(parse, error, texts, seed)
             pass
         except Exception as e:
             pytest.fail(f"{type(e).__name__}: {e} on {text!r}")
+
+
+# Lines one step away from the form ``serialize_ntriples`` writes: another
+# separator, a relative IRI, a term of the wrong kind or a token that is not
+# one whole term.
+EDGE_LINES = [
+    "<http://ex/s>  <http://ex/p> <http://ex/o> .",
+    "<http://ex/s> <http://ex/p>  <http://ex/o> .",
+    "<http://ex/s> <http://ex/p> <http://ex/o>  .",
+    "<http://ex/s>\t<http://ex/p> <http://ex/o> .",
+    "<http://ex/s> <http://ex/p> <http://ex/o>\t.",
+    "<http://ex/s>\x0b<http://ex/p> <http://ex/o> .",
+    "<http://ex/s> <http://ex/p>\x85<http://ex/o> .",
+    "<http://ex/s> <http://ex/p> <http://ex/o>\u2028.",
+    "<http://ex/s> <http://ex/p> <http://ex/o> .\x0c",
+    " <http://ex/s> <http://ex/p> <http://ex/o> .",
+    "<http://ex/s> <http://ex/p> <http://ex/o>.",
+    "<http://ex/s> <http://ex/p> <http://ex/o> . # comment",
+    "<http://ex/s> <http://ex/p> <http://ex/o> . .",
+    "<http://ex/s> <http://ex/p> .",
+    "<http://ex/s> <http://ex/p>  .",
+    "<relative> <http://ex/p> <http://ex/o> .",
+    "<http://ex/s> <relative> <http://ex/o> .",
+    "<http://ex/s> <http://ex/p> <relative> .",
+    '<http://ex/s> <http://ex/p> "7"^^<relative> .',
+    '"s" <http://ex/p> <http://ex/o> .',
+    "<http://ex/s> _:p <http://ex/o> .",
+    '<http://ex/s> "p" <http://ex/o> .',
+    "_:b. <http://ex/p> <http://ex/o> .",
+    "<http://ex/s> <http://ex/p> _:b. .",
+    '<http://ex/s> <http://ex/p> "a b" .',
+    '<http://ex/s> <http://ex/p> "a  b"@en .',
+    '<http://ex/s> <http://ex/p> "x"@1 .',
+    '<http://ex/s> <http://ex/p> "x"^^ .',
+    '<http://ex/s> <http://ex/p> "\\q" .',
+    '<http://ex/s> <http://ex/p> "a" "b" .',
+    "<http://ex/s> <http://ex/p> <http://ex/o> <http://ex/g> .",
+]
+
+
+def typed_fragment_texts() -> list[str]:
+    """The fragment files of a small typed graph merged at 5 subjects, as
+    ``write_fragments`` writes them: IRIs, literals holding spaces and
+    integer-typed literals."""
+    rng = random.Random(7)
+    ex = "http://bench.example/"
+    lines = []
+    for i in range(300):
+        kind = ("user", "product", "review")[i % 3]
+        s = f"<{ex}{kind}{i}>"
+        lines.append(f"{s} <{ex}type> <{ex}{kind.title()}> .")
+        lines.append(f'{s} <{ex}name> "{kind} {rng.randrange(10_000)}" .')
+        if rng.random() < 0.5:
+            lines.append(f'{s} <{ex}age> "{rng.randrange(100)}"'
+                         f"^^<http://www.w3.org/2001/XMLSchema#integer> .")
+        for _ in range(rng.randint(0, 3)):
+            lines.append(f"{s} <{ex}likes> <{ex}product{rng.randrange(300)}> .")
+    frags, _ = merge_infrequent(fragment_by_cs(reference_parse_ntriples("\n".join(lines))), 5)
+    return [serialize_ntriples(f.triples) for f in frags]
+
+
+def read_outcome(parse, text: str):
+    """The graph ``parse`` reads from ``text``, or its error's line and message."""
+    try:
+        return parse(text)
+    except NTriplesError as e:
+        return e.line, str(e)
+
+
+def test_split_lines_read_like_the_reference_reader():
+    valid = "<http://ex/a> <http://ex/p> <http://ex/b> ."
+    texts = [RUNNING_DATA, *typed_fragment_texts(),
+             *(f"{valid}\n{line}\n" for line in EDGE_LINES), *mutants(NTRIPLES, 1, CASES)]
+    shared: dict = {}  # one table for every text, as for a fragment directory
+    for text in texts:
+        expected = read_outcome(reference_parse_ntriples, text)
+        assert read_outcome(parse_ntriples, text) == expected, text
+        assert read_outcome(lambda t: parse_ntriples(t, shared), text) == expected, text
 
 
 @pytest.fixture(scope="module")

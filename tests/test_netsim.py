@@ -431,7 +431,7 @@ class TestLoadedNetwork:
         parsed = []
         parse = fragments_module.parse_ntriples
         monkeypatch.setattr(fragments_module, "parse_ntriples",
-                            lambda text: parsed.append(text) or parse(text))
+                            lambda text, terms: parsed.append(text) or parse(text, terms))
         loaded = load_network(state)
         assert parsed == []
         q = parse_query(
